@@ -16,9 +16,12 @@
 //! arrival order:
 //!
 //! 1. **Shards are disjoint.** Each shard owns its own [`BusSim`] (policy,
-//!    masters, fault plan, telemetry registry). Between two barriers a
-//!    worker touches exactly one shard, so advancing shards concurrently
-//!    is trivially equivalent to advancing them in any serial order.
+//!    masters, fault plan, telemetry registry). [`ParallelSim::run`]
+//!    starts its worker threads once; every epoch it hands each worker a
+//!    fixed chunk of shards over a channel and takes the chunks back at
+//!    the barrier. Between two barriers a shard belongs to exactly one
+//!    worker, so advancing shards concurrently is trivially equivalent to
+//!    advancing them in any serial order.
 //! 2. **Exchange is totally ordered.** At a barrier, every shard's egress
 //!    (bursts that completed `Ok` against an address outside the shard's
 //!    home window) is collected and sorted by `(cycle, domain, master,
@@ -26,10 +29,11 @@
 //!    shard — never by which worker finished first. Delivery appends to
 //!    the destination's bridge master in that order.
 //! 3. **Folding is ordered too.** Per-shard telemetry registries are
-//!    folded into the merged registry in domain order at each barrier
-//!    (see [`Telemetry::absorb_delta`]); `std::thread::scope`'s join
-//!    provides the happens-before edge that makes the shard's relaxed
-//!    atomic counters visible to the coordinator.
+//!    folded into the merged registry in domain order at each barrier,
+//!    through handle pairs resolved once per metric (see [`DeltaFold`]).
+//!    A worker sends its chunk back only after advancing it, and the
+//!    channel's send/receive pair is the happens-before edge that makes
+//!    the shard's relaxed atomic counters visible to the coordinator.
 //!
 //! Since epoch boundaries, exchange order and fold order are all functions
 //! of the simulation state alone, the *entire* run is a function of the
@@ -51,7 +55,9 @@ use crate::packet::BurstRequest;
 use crate::policy::AccessPolicy;
 use crate::report::SimReport;
 use crate::sim::BusSim;
-use siopmp::telemetry::{Counter, Telemetry, TelemetrySnapshot};
+use siopmp::telemetry::{Counter, DeltaFold, Telemetry};
+use std::sync::mpsc;
+use std::thread;
 
 /// Default barrier spacing. Large enough to amortise barrier costs, small
 /// enough that cross-domain latency (traffic waits for the next barrier)
@@ -130,13 +136,6 @@ impl DomainSpec {
         }
     }
 
-    /// A spec with no masters, no faults, no home window and a fresh
-    /// telemetry registry.
-    #[deprecated(note = "use `DomainSpec::for_policy(policy).with_config(config)`")]
-    pub fn new(config: BusConfig, policy: Box<dyn AccessPolicy>) -> Self {
-        DomainSpec::for_boxed_policy(policy).with_config(config)
-    }
-
     /// Sets the bus timing configuration (builder style).
     pub fn with_config(mut self, config: BusConfig) -> Self {
         self.config = config;
@@ -191,8 +190,96 @@ struct Shard {
     /// was built with (which is what makes a single-domain parallel run
     /// byte-identical to the serial engine).
     bridge: Option<usize>,
-    telemetry: Telemetry,
-    last_snap: TelemetrySnapshot,
+    /// Folds the shard's registry into the merged one.
+    fold: DeltaFold,
+}
+
+impl Shard {
+    /// Steps the shard to `target` cycles, or until it drains.
+    fn advance(&mut self, target: u64) {
+        while self.sim.cycle() < target && !self.sim.all_done() {
+            self.sim.step();
+        }
+    }
+}
+
+/// The worker threads of one [`ParallelSim::run`]. Each epoch, every
+/// worker receives its chunk of shards and the barrier cycle over one
+/// channel, advances the chunk and sends it back over another. Both sides
+/// block on the channels; nothing spins.
+struct Pool<'scope> {
+    workers: Vec<Worker<'scope>>,
+    /// Shards per worker: the same partition every epoch.
+    chunk: usize,
+}
+
+struct Worker<'scope> {
+    work: mpsc::Sender<(Vec<Shard>, u64)>,
+    done: mpsc::Receiver<Vec<Shard>>,
+    thread: thread::ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope> Pool<'scope> {
+    /// Starts up to `threads` workers for `shards` shards, each owning a
+    /// chunk of `ceil(shards / threads)` consecutive domains.
+    fn start<'env>(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        shards: usize,
+        threads: usize,
+    ) -> Self {
+        let chunk = shards.div_ceil(threads);
+        let workers = (0..shards.div_ceil(chunk))
+            .map(|_| {
+                let (work, inbox) = mpsc::channel::<(Vec<Shard>, u64)>();
+                let (outbox, done) = mpsc::channel();
+                let thread = scope.spawn(move || {
+                    for (mut shards, target) in inbox {
+                        for shard in &mut shards {
+                            shard.advance(target);
+                        }
+                        if outbox.send(shards).is_err() {
+                            return;
+                        }
+                    }
+                });
+                Worker { work, done, thread }
+            })
+            .collect();
+        Pool { workers, chunk }
+    }
+
+    /// Advances every shard to `target` on the workers and puts the
+    /// shards back in domain order. If a worker panicked, re-raises its
+    /// panic here.
+    fn advance(&mut self, shards: &mut Vec<Shard>, target: u64) {
+        let mut rest = std::mem::take(shards);
+        for worker in &self.workers {
+            let tail = rest.split_off(self.chunk.min(rest.len()));
+            if worker.work.send((rest, target)).is_err() {
+                self.propagate_panic();
+            }
+            rest = tail;
+        }
+        for i in 0..self.workers.len() {
+            match self.workers[i].done.recv() {
+                Ok(chunk) => shards.extend(chunk),
+                Err(_) => self.propagate_panic(),
+            }
+        }
+    }
+
+    /// A worker hung up mid-epoch, which only a panic does. Closes every
+    /// work channel so the other workers exit, joins them all, and
+    /// resumes the first panic on the calling thread.
+    fn propagate_panic(&mut self) -> ! {
+        let threads: Vec<_> = self.workers.drain(..).map(|w| w.thread).collect();
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        unreachable!("a ParallelSim worker hung up without panicking")
+    }
 }
 
 /// The sharded parallel engine. See the [module docs](self) for the
@@ -250,6 +337,7 @@ impl ParallelSim {
     /// of the cross-domain exchange key.
     pub fn add_domain(&mut self, spec: DomainSpec) -> usize {
         let mut sim = BusSim::build(spec.config, spec.policy, spec.telemetry.clone());
+        let fold = DeltaFold::new(&spec.telemetry, &self.merged);
         if let Some((base, len)) = spec.home_window {
             sim.set_home_window(base, len);
         }
@@ -261,8 +349,7 @@ impl ParallelSim {
             sim,
             window: spec.home_window,
             bridge: None,
-            telemetry: spec.telemetry,
-            last_snap: TelemetrySnapshot::default(),
+            fold,
         });
         self.shards.len() - 1
     }
@@ -301,12 +388,40 @@ impl ParallelSim {
     /// merged report concatenates per-shard master reports in domain
     /// order (bridge masters, where created, appear after their domain's
     /// own masters); `cycles` is the maximum over shards.
+    ///
+    /// With more than one thread, the workers start here and stop when
+    /// the run ends. A panic on a worker (in a policy, say) propagates
+    /// out of this call; the engine must not be used after that.
     pub fn run(&mut self, max_cycles: u64) -> SimReport {
-        let epoch = self.epoch_cycles;
+        // The partition is irrelevant to results — shards are disjoint —
+        // so only the clamped thread count's wall clock differs.
+        let threads = self.threads.min(self.shards.len());
+        if threads <= 1 {
+            self.run_epochs(max_cycles, |shards, target| {
+                for shard in shards {
+                    shard.advance(target);
+                }
+            });
+        } else {
+            thread::scope(|scope| {
+                let mut pool = Pool::start(scope, self.shards.len(), threads);
+                self.run_epochs(max_cycles, |shards, target| pool.advance(shards, target));
+            });
+        }
+        // Barrier-time delivery may have stepped shards (catching them up
+        // to the barrier); fold whatever that produced.
+        self.fold_telemetry();
+        self.report()
+    }
+
+    /// The epoch loop: `advance` every shard to the next barrier, fold
+    /// telemetry, exchange cross-domain traffic, until every shard drains
+    /// with nothing in transit or the cycle budget runs out.
+    fn run_epochs(&mut self, max_cycles: u64, mut advance: impl FnMut(&mut Vec<Shard>, u64)) {
         let mut target = 0u64;
         loop {
-            target = (target + epoch).min(max_cycles);
-            self.advance_all(target);
+            target = (target + self.epoch_cycles).min(max_cycles);
+            advance(&mut self.shards, target);
             self.fold_telemetry();
             let moved = self.exchange(target);
             self.epochs.inc();
@@ -315,10 +430,6 @@ impl ParallelSim {
                 break;
             }
         }
-        // Barrier-time delivery may have stepped shards (catching them up
-        // to the barrier); fold whatever that produced.
-        self.fold_telemetry();
-        self.report()
     }
 
     /// The merged report as of the current state (what [`ParallelSim::run`]
@@ -338,42 +449,11 @@ impl ParallelSim {
         merged
     }
 
-    /// Advances every shard to `target` cycles (or until drained),
-    /// partitioned across worker threads. The partition is irrelevant to
-    /// results — shards are disjoint — so only the clamped thread count's
-    /// wall clock differs.
-    fn advance_all(&mut self, target: u64) {
-        fn advance(shard: &mut Shard, target: u64) {
-            while shard.sim.cycle() < target && !shard.sim.all_done() {
-                shard.sim.step();
-            }
-        }
-        let threads = self.threads.min(self.shards.len()).max(1);
-        if threads == 1 {
-            for shard in &mut self.shards {
-                advance(shard, target);
-            }
-        } else {
-            let chunk = self.shards.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for shards in self.shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for shard in shards {
-                            advance(shard, target);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
     /// Folds each shard's telemetry delta since the previous barrier into
     /// the merged registry, in domain order.
     fn fold_telemetry(&mut self) {
         for shard in &mut self.shards {
-            let current = shard.telemetry.snapshot();
-            self.merged.absorb_delta(&shard.last_snap, &current);
-            shard.last_snap = current;
+            shard.fold.fold();
         }
     }
 
@@ -576,6 +656,62 @@ mod tests {
             0
         );
         assert_eq!(report.masters.len(), 1, "no bridge was ever created");
+    }
+
+    /// Allows every access until its `n`-th decision, then panics.
+    struct PanicsOnDecision(usize);
+
+    impl AccessPolicy for PanicsOnDecision {
+        fn decide(
+            &mut self,
+            _: siopmp::ids::DeviceId,
+            _: siopmp::request::AccessKind,
+            _: u64,
+            _: u64,
+        ) -> crate::policy::PolicyVerdict {
+            self.0 -= 1;
+            assert!(self.0 > 0, "policy failed on purpose");
+            crate::policy::PolicyVerdict::Allowed
+        }
+    }
+
+    /// Two domains on two workers; domain 1's policy panics mid-run.
+    fn run_with_a_panicking_policy() -> SimReport {
+        let mut psim = ParallelSim::new(16, 2);
+        psim.add_domain(
+            DomainSpec::for_policy(AllowAll).with_master(MasterProgram::uniform(
+                1,
+                BurstKind::Read,
+                0x0,
+                64,
+            )),
+        );
+        psim.add_domain(
+            DomainSpec::for_policy(PanicsOnDecision(20)).with_master(MasterProgram::uniform(
+                2,
+                BurstKind::Read,
+                0x0,
+                64,
+            )),
+        );
+        psim.run(100_000)
+    }
+
+    #[test]
+    fn worker_panics_propagate_out_of_run() {
+        // The run happens on a helper thread so that a hang fails the
+        // test on the timeout below instead of wedging the suite.
+        let (tx, rx) = mpsc::channel();
+        let helper = thread::spawn(move || {
+            let panic = std::panic::catch_unwind(run_with_a_panicking_policy).err();
+            let _ = tx.send(panic.map(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+        });
+        let panic = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run hung after a worker panicked");
+        helper.join().expect("the helper caught the panic itself");
+        let message = panic.expect("a worker panic must propagate out of run");
+        assert_eq!(message.as_deref(), Some("policy failed on purpose"));
     }
 
     #[test]

@@ -171,7 +171,15 @@ pub struct BusSim {
     config: BusConfig,
     policy: Box<dyn AccessPolicy>,
     masters: Vec<MasterState>,
+    /// Flights in issue order. Resolved flights stay until they make up
+    /// half the table, then `retire_resolved` drops them, so every
+    /// per-cycle scan costs O(live flights), not O(flights ever issued).
     flights: Vec<Flight>,
+    /// Resolved flights still in `flights`.
+    resolved: usize,
+    /// Whether flights issued after the last one in `flights` have been
+    /// retired, i.e. the last slot no longer holds the newest flight.
+    tail_retired: bool,
     a_owner: Option<usize>,
     d_owner: Option<usize>,
     rr_a: usize,
@@ -224,6 +232,8 @@ impl BusSim {
             policy,
             masters: Vec::new(),
             flights: Vec::new(),
+            resolved: 0,
+            tail_retired: false,
             a_owner: None,
             d_owner: None,
             rr_a: 0,
@@ -244,22 +254,6 @@ impl BusSim {
             egress: Vec::new(),
             egress_seq: 0,
         }
-    }
-
-    /// Creates a simulator with a private telemetry registry.
-    #[deprecated(note = "use `BusSim::build(config, policy, None)`")]
-    pub fn new(config: BusConfig, policy: Box<dyn AccessPolicy>) -> Self {
-        Self::build(config, policy, None)
-    }
-
-    /// Creates a simulator sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `BusSim::build(config, policy, telemetry)`")]
-    pub fn with_telemetry(
-        config: BusConfig,
-        policy: Box<dyn AccessPolicy>,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::build(config, policy, telemetry)
     }
 
     /// The simulator's telemetry registry.
@@ -455,6 +449,43 @@ impl BusSim {
         self.memory_schedule(t);
         self.channel_d_beat(t);
         self.cycle += 1;
+        if self.resolved > 0 && 2 * self.resolved >= self.flights.len() {
+            self.retire_resolved();
+        }
+    }
+
+    /// Drops every resolved flight, keeping the live ones in issue order.
+    /// Channel owners move to their flights' new slots, and each
+    /// round-robin pointer moves down by the number of flights dropped
+    /// before it. The scans skip resolved flights anyway, so they visit
+    /// the live flights in the same order as over a table that kept every
+    /// flight; `tail_retired` preserves the one rule that depended on that
+    /// table's length, the wrap after its last slot.
+    fn retire_resolved(&mut self) {
+        if self.flights.last().is_some_and(|f| f.done.is_some()) {
+            self.tail_retired = true;
+        }
+        let (mut rr_a, mut rr_d) = (self.rr_a, self.rr_d);
+        let mut kept = 0;
+        for idx in 0..self.flights.len() {
+            if self.flights[idx].done.is_some() {
+                rr_a -= usize::from(idx < self.rr_a);
+                rr_d -= usize::from(idx < self.rr_d);
+                continue;
+            }
+            if self.a_owner == Some(idx) {
+                self.a_owner = Some(kept);
+            }
+            if self.d_owner == Some(idx) {
+                self.d_owner = Some(kept);
+            }
+            self.flights.swap(kept, idx);
+            kept += 1;
+        }
+        self.flights.truncate(kept);
+        self.rr_a = rr_a;
+        self.rr_d = rr_d;
+        self.resolved = 0;
     }
 
     /// Applies every fault-plan event scheduled at or before `t`.
@@ -640,6 +671,7 @@ impl BusSim {
                 });
                 log.len() - 1
             });
+            self.tail_retired = false;
             self.flights.push(Flight {
                 master: mi,
                 req: burst,
@@ -663,6 +695,19 @@ impl BusSim {
         self.issue_scratch = batch;
     }
 
+    /// Where the next round-robin scan starts after a pick in slot `idx`:
+    /// the following slot, or slot 0 after a pick of the newest flight
+    /// ever issued — the last slot of a table that never retired a flight.
+    /// A last slot whose newer flights were retired does not wrap, so the
+    /// scan still reaches flights issued next before the older ones.
+    fn next_after(&self, idx: usize) -> usize {
+        if idx + 1 == self.flights.len() && !self.tail_retired {
+            0
+        } else {
+            idx + 1
+        }
+    }
+
     /// One beat of request-channel arbitration (burst-atomic).
     fn channel_a_beat(&mut self, t: u64) {
         if t < self.a_stall_until {
@@ -677,14 +722,9 @@ impl BusSim {
             }
         }
         if self.a_owner.is_none() {
-            let n = self.flights.len();
-            for off in 0..n {
-                let idx = (self.rr_a + off) % n.max(1);
-                if idx < n && wants_a(&self.flights[idx]) {
-                    self.a_owner = Some(idx);
-                    self.rr_a = (idx + 1) % n.max(1);
-                    break;
-                }
+            if let Some(idx) = round_robin(&self.flights, self.rr_a, wants_a) {
+                self.a_owner = Some(idx);
+                self.rr_a = self.next_after(idx);
             }
         }
         let Some(idx) = self.a_owner else { return };
@@ -764,14 +804,9 @@ impl BusSim {
             }
         }
         if self.d_owner.is_none() {
-            let n = self.flights.len();
-            for off in 0..n {
-                let idx = (self.rr_d + off) % n.max(1);
-                if idx < n && ready_d(&self.flights[idx]) {
-                    self.d_owner = Some(idx);
-                    self.rr_d = (idx + 1) % n.max(1);
-                    break;
-                }
+            if let Some(idx) = round_robin(&self.flights, self.rr_d, ready_d) {
+                self.d_owner = Some(idx);
+                self.rr_d = self.next_after(idx);
             }
         }
         let Some(idx) = self.d_owner else { return };
@@ -812,6 +847,7 @@ impl BusSim {
         let master = f.master;
         let burst_kind = f.kind;
         f.done = Some(status);
+        self.resolved += 1;
         if self.a_owner == Some(idx) {
             self.a_owner = None;
         }
@@ -917,6 +953,14 @@ impl BusSim {
     }
 }
 
+/// The first flight at or after slot `from` that `wants`, wrapping once
+/// past the end of the table.
+fn round_robin(flights: &[Flight], from: usize, wants: impl Fn(&Flight) -> bool) -> Option<usize> {
+    (from..flights.len())
+        .chain(0..from)
+        .find(|&idx| wants(&flights[idx]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,6 +984,49 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.masters[0].bursts_completed, 1);
         assert_eq!(r.masters[0].mean_latency(), Some(22.0));
+    }
+
+    #[test]
+    fn flight_table_stays_bounded_by_live_flights() {
+        // 20 000 bursts; master 2's are all denied, so bus-error
+        // truncations resolve flights out of issue order. Retirement must
+        // keep the table within twice the live flights after every step.
+        let mut sim = BusSim::build(
+            BusConfig::default(),
+            Box::new(DenyRange {
+                base: 0x3000,
+                len: 0x1000,
+            }),
+            None,
+        );
+        for (m, outstanding) in [1usize, 2, 4, 8].into_iter().enumerate() {
+            let kind = if m % 2 == 0 {
+                BurstKind::Read
+            } else {
+                BurstKind::Write
+            };
+            let base = 0x1000 * (m as u64 + 1);
+            sim.add_master(
+                MasterProgram::uniform(m as u64 + 1, kind, base, 5_000)
+                    .with_outstanding(outstanding),
+            );
+        }
+        while !sim.all_done() {
+            sim.step();
+            assert!(
+                sim.flights.len() <= 2 * sim.in_flight_total() + 1,
+                "cycle {}: {} flights for {} live",
+                sim.cycle(),
+                sim.flights.len(),
+                sim.in_flight_total()
+            );
+        }
+        let r = sim.report();
+        assert_eq!(
+            r.masters.iter().map(|m| m.bursts_completed).sum::<usize>(),
+            20_000
+        );
+        assert_eq!(r.masters[2].bursts_bus_error, 5_000);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
@@ -167,7 +167,8 @@ impl Histogram {
     }
 }
 
-/// Frozen histogram state with percentile queries.
+/// Frozen histogram state with percentile queries. The default is the
+/// empty histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`Histogram::bucket_index`]).
@@ -178,6 +179,17 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest sample seen.
     pub max: u64,
+}
+
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
 }
 
 impl HistogramSnapshot {
@@ -330,6 +342,16 @@ impl EventRing {
         self.0.lock().unwrap().dropped
     }
 
+    /// Copies of the retained events with sequence number `seq` or later,
+    /// oldest first. Events evicted before the call are not returned.
+    pub fn events_since(&self, seq: u64) -> Vec<Event> {
+        let inner = self.0.lock().expect("no ring holder panicked");
+        // Retained events carry consecutive sequence numbers starting at
+        // the number of evicted ones.
+        let skip = seq.saturating_sub(inner.dropped) as usize;
+        inner.events.iter().skip(skip).cloned().collect()
+    }
+
     /// A point-in-time copy.
     pub fn snapshot(&self) -> RingSnapshot {
         let inner = self.0.lock().unwrap();
@@ -380,6 +402,9 @@ struct TelemetryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     rings: Mutex<BTreeMap<String, EventRing>>,
+    /// Metrics of any kind registered so far; a [`DeltaFold`] re-resolves
+    /// its handles only when this moves.
+    registered: AtomicUsize,
 }
 
 /// The shared metric registry. Cloning shares the registry; use
@@ -399,23 +424,32 @@ impl Telemetry {
 
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.0.counters.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        self.get_or_register(&self.0.counters, name, Counter::default)
     }
 
     /// The histogram registered under `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.0.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        self.get_or_register(&self.0.histograms, name, Histogram::default)
     }
 
     /// The event ring registered under `name`, created with `capacity` on
     /// first use (an existing ring keeps its original capacity).
     pub fn ring(&self, name: &str, capacity: usize) -> EventRing {
-        let mut map = self.0.rings.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| EventRing::new(capacity))
-            .clone()
+        self.get_or_register(&self.0.rings, name, || EventRing::new(capacity))
+    }
+
+    fn get_or_register<T: Clone>(
+        &self,
+        map: &Mutex<BTreeMap<String, T>>,
+        name: &str,
+        create: impl FnOnce() -> T,
+    ) -> T {
+        let mut map = map.lock().expect("no registry holder panicked");
+        if let Some(metric) = map.get(name) {
+            return metric.clone();
+        }
+        self.0.registered.fetch_add(1, Ordering::Relaxed);
+        map.entry(name.to_string()).or_insert_with(create).clone()
     }
 
     /// An independent registry pre-loaded with this one's current values:
@@ -438,48 +472,6 @@ impl Telemetry {
             }
         }
         fresh
-    }
-
-    /// Folds the activity between two snapshots of *another* registry into
-    /// this one: counters grow by the wrapping difference, histograms
-    /// absorb the bucket/count/sum deltas, and ring events first pushed
-    /// after `prev` are re-pushed here (this registry's rings assign their
-    /// own sequence numbers and eviction accounting). Metrics are folded in
-    /// name order, so repeated folds from the same sequence of snapshots
-    /// always produce the same merged state — the property the parallel bus
-    /// engine relies on when it folds per-shard registries at every epoch
-    /// barrier, no matter which worker thread advanced which shard.
-    ///
-    /// `prev` must be an earlier snapshot of the same registry as `cur`
-    /// (use `TelemetrySnapshot::default()` for "since the beginning").
-    pub fn absorb_delta(&self, prev: &TelemetrySnapshot, cur: &TelemetrySnapshot) {
-        for (name, value) in &cur.counters {
-            let before = prev.counters.get(name).copied().unwrap_or(0);
-            self.counter(name).add(value.wrapping_sub(before));
-        }
-        for (name, snap) in &cur.histograms {
-            static EMPTY: HistogramSnapshot = HistogramSnapshot {
-                buckets: [0; HISTOGRAM_BUCKETS],
-                count: 0,
-                sum: 0,
-                max: 0,
-            };
-            let before = prev.histograms.get(name).unwrap_or(&EMPTY);
-            self.histogram(name).absorb(&snap.delta_since(before));
-        }
-        for (name, snap) in &cur.rings {
-            // Events ever pushed into a ring = dropped + retained, so this
-            // threshold selects exactly the events newer than `prev`.
-            let seen = prev
-                .rings
-                .get(name)
-                .map(|r| r.dropped + r.events.len() as u64)
-                .unwrap_or(0);
-            let ring = self.ring(name, snap.capacity);
-            for e in snap.events.iter().filter(|e| e.seq >= seen) {
-                ring.push(e.message.clone());
-            }
-        }
     }
 
     /// A point-in-time copy of every registered metric.
@@ -557,6 +549,155 @@ impl TelemetrySnapshot {
             ),
         ])
     }
+}
+
+/// One fold pairing: a source metric, its namesake in the target, and
+/// the fold state (what the source had reached at the last fold).
+#[derive(Debug)]
+struct Pair<T, S> {
+    name: String,
+    from: T,
+    into: T,
+    seen: S,
+}
+
+/// Folds one registry's activity into another, incrementally: each
+/// [`DeltaFold::fold`] adds what the source recorded since the previous
+/// fold. Counters grow by the wrapping difference, histograms absorb the
+/// bucket/count/sum deltas, and ring events pushed since the last fold
+/// are re-pushed into the target (whose rings assign their own sequence
+/// numbers and eviction accounting; events the source evicted before a
+/// fold saw them are not folded).
+///
+/// Every source metric is paired with its target namesake once, and the
+/// pairs are re-resolved only when the source registers a new metric, so
+/// a fold costs a few atomic loads per metric and no name lookups.
+/// Metrics fold by kind (counters, histograms, rings) and by name within
+/// a kind, so folding several sources in a fixed order always produces
+/// the same target state — what the parallel bus engine relies on when it
+/// folds its per-shard registries at every epoch barrier.
+///
+/// ```
+/// use siopmp::telemetry::{DeltaFold, Telemetry};
+///
+/// let (shard, merged) = (Telemetry::new(), Telemetry::new());
+/// let mut fold = DeltaFold::new(&shard, &merged);
+/// shard.counter("bus.bursts_ok").add(3);
+/// fold.fold();
+/// fold.fold(); // nothing new: a no-op
+/// assert_eq!(merged.counter("bus.bursts_ok").get(), 3);
+/// ```
+#[derive(Debug)]
+pub struct DeltaFold {
+    source: Telemetry,
+    target: Telemetry,
+    /// The source's `registered` count when the pairs were resolved.
+    resolved: usize,
+    counters: Vec<Pair<Counter, u64>>,
+    histograms: Vec<Pair<Histogram, HistogramSnapshot>>,
+    rings: Vec<Pair<EventRing, u64>>,
+}
+
+impl DeltaFold {
+    /// A fold of everything `source` records, from its beginning, into
+    /// `target`. Nothing is resolved or folded until the first
+    /// [`DeltaFold::fold`].
+    pub fn new(source: &Telemetry, target: &Telemetry) -> Self {
+        DeltaFold {
+            source: source.clone(),
+            target: target.clone(),
+            resolved: 0,
+            counters: Vec::new(),
+            histograms: Vec::new(),
+            rings: Vec::new(),
+        }
+    }
+
+    /// Adds the source's activity since the previous fold to the target,
+    /// registering there every metric the source has.
+    pub fn fold(&mut self) {
+        // Relaxed: the maps are read under their own mutexes, and a stale
+        // count only defers pairing a new metric to the next fold, which
+        // then folds it from its beginning.
+        let registered = self.source.0.registered.load(Ordering::Relaxed);
+        if registered != self.resolved {
+            self.resolve();
+            self.resolved = registered;
+        }
+        for p in &mut self.counters {
+            let now = p.from.get();
+            if now != p.seen {
+                p.into.add(now.wrapping_sub(p.seen));
+                p.seen = now;
+            }
+        }
+        for p in &mut self.histograms {
+            // A histogram's count moves with every sample, so an equal
+            // count means nothing was recorded since the last fold.
+            if p.from.count() != p.seen.count {
+                let now = p.from.snapshot();
+                p.into.absorb(&now.delta_since(&p.seen));
+                p.seen = now;
+            }
+        }
+        for p in &mut self.rings {
+            for e in p.from.events_since(p.seen) {
+                p.seen = e.seq + 1;
+                p.into.push(e.message);
+            }
+        }
+    }
+
+    /// Pairs every source metric with its target namesake, keeping the
+    /// fold state of metrics paired before.
+    fn resolve(&mut self) {
+        let (source, target) = (&self.source.0, &self.target);
+        self.counters = pair_up(
+            &source.counters,
+            std::mem::take(&mut self.counters),
+            |name, _| target.counter(name),
+        );
+        self.histograms = pair_up(
+            &source.histograms,
+            std::mem::take(&mut self.histograms),
+            |name, _| target.histogram(name),
+        );
+        self.rings = pair_up(
+            &source.rings,
+            std::mem::take(&mut self.rings),
+            |name, ring| {
+                let capacity = ring.0.lock().expect("no ring holder panicked").capacity;
+                target.ring(name, capacity)
+            },
+        );
+    }
+}
+
+/// The metrics of one kind in `source`, in name order, each paired with
+/// the target handle `into` resolves and the fold state it had in `old`
+/// (the empty state for metrics new since then).
+fn pair_up<T: Clone, S: Default>(
+    source: &Mutex<BTreeMap<String, T>>,
+    old: Vec<Pair<T, S>>,
+    into: impl Fn(&str, &T) -> T,
+) -> Vec<Pair<T, S>> {
+    // Copy the handles out first: the target may be locked below.
+    let current: Vec<(String, T)> = source
+        .lock()
+        .expect("no registry holder panicked")
+        .iter()
+        .map(|(name, metric)| (name.clone(), metric.clone()))
+        .collect();
+    let mut old: BTreeMap<String, S> = old.into_iter().map(|p| (p.name, p.seen)).collect();
+    current
+        .into_iter()
+        .map(|(name, from)| Pair {
+            into: into(&name, &from),
+            seen: old.remove(&name).unwrap_or_default(),
+            from,
+            name,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -640,14 +781,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_delta_folds_only_the_new_activity() {
+    fn delta_fold_folds_only_the_new_activity() {
         let shard = Telemetry::new();
         let merged = Telemetry::new();
+        let mut fold = DeltaFold::new(&shard, &merged);
         shard.counter("c").add(5);
         shard.histogram("h").record(7);
         shard.ring("r", 2).push("a");
-        let first = shard.snapshot();
-        merged.absorb_delta(&TelemetrySnapshot::default(), &first);
+        fold.fold();
         assert_eq!(merged.counter("c").get(), 5);
         assert_eq!(merged.histogram("h").count(), 1);
         assert_eq!(merged.ring("r", 2).len(), 1);
@@ -656,9 +797,13 @@ mod tests {
         shard.histogram("h").record(100);
         shard.ring("r", 2).push("b");
         shard.ring("r", 2).push("c"); // evicts "a" in the shard ring
-        let second = shard.snapshot();
-        merged.absorb_delta(&first, &second);
+
+        // Registered between two folds: folded from its beginning.
+        shard.counter("a_new").add(2);
+        shard.ring("q", 8).push("q0");
+        fold.fold();
         assert_eq!(merged.counter("c").get(), 8);
+        assert_eq!(merged.counter("a_new").get(), 2);
         let h = merged.histogram("h").snapshot();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 107);
@@ -669,6 +814,21 @@ mod tests {
         assert_eq!(r.dropped, 1);
         let msgs: Vec<&str> = r.events.iter().map(|e| e.message.as_str()).collect();
         assert_eq!(msgs, ["b", "c"]);
+        assert_eq!(merged.ring("q", 8).snapshot().events[0].message, "q0");
+
+        // Events evicted before any fold saw them are not folded: of
+        // "d", "e" and "f" the shard ring retains only "e" and "f".
+        for m in ["d", "e", "f"] {
+            shard.ring("r", 2).push(m);
+        }
+        fold.fold();
+        fold.fold(); // nothing new
+        let r = merged.ring("r", 2).snapshot();
+        let msgs: Vec<&str> = r.events.iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(msgs, ["e", "f"]);
+        assert_eq!(r.dropped, 3, "the merged ring evicted a, b and c");
+        assert_eq!(merged.counter("c").get(), 8);
+        assert_eq!(merged.histogram("h").count(), 2);
     }
 
     #[test]
