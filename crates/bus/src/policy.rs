@@ -106,12 +106,6 @@ pub trait AccessPolicy: Send {
     fn siopmp_unit_mut(&mut self) -> Option<&mut siopmp::Siopmp> {
         None
     }
-
-    /// Returns `true` when the access is allowed.
-    #[deprecated(note = "use `decide(...)` and match on the verdict")]
-    fn allowed(&mut self, device: DeviceId, kind: AccessKind, addr: u64, len: u64) -> bool {
-        self.decide(device, kind, addr, len).is_allowed()
-    }
 }
 
 /// Allows every access (the "no protection" baseline).
@@ -358,19 +352,6 @@ mod tests {
         assert!(p.control(&ControlOp::CamChurn(DeviceId(9))));
         assert!(p.siopmp_unit().unwrap().is_hot(DeviceId(9)));
         assert!(!p.control(&ControlOp::CamChurn(DeviceId(9))), "already hot");
-    }
-
-    #[test]
-    fn deprecated_allowed_shim_matches_decide() {
-        let mut p = DenyRange {
-            base: 0x1000,
-            len: 0x100,
-        };
-        #[allow(deprecated)]
-        {
-            assert!(!p.allowed(DeviceId(1), AccessKind::Read, 0x1000, 8));
-            assert!(p.allowed(DeviceId(1), AccessKind::Read, 0x2000, 8));
-        }
     }
 
     #[test]

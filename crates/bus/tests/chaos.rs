@@ -22,6 +22,10 @@
 //! flight and proves the drained-or-refused guarantee: a cold switch
 //! issued while bursts are live commits only once the affected traffic
 //! has reached zero in flight, or refuses without mounting.
+//!
+//! Finally, four pinned fault storms fix the exact simulated cost of
+//! recovery, so any change to retry, backoff or drain timing shows up as
+//! a changed cycle count.
 
 use std::collections::HashMap;
 
@@ -552,4 +556,77 @@ fn quiesced_switches_under_fault_storms_stay_drained_or_refused() {
     // Refusals are possible but not required with these deadlines; the
     // assertion above is the load-bearing one.
     let _ = refusals;
+}
+
+/// One pinned fault storm: two retrying hot masters (devices 1 and 2) and
+/// the mounted cold device 7 under a schedule of slave errors, dropped
+/// beats, delayed grants, device resets, SID-block pulses and undrained
+/// cold switches between devices 7 and 8.
+fn storm(seed: u64) -> siopmp_bus::SimReport {
+    let mut unit = Siopmp::build(SiopmpConfig::small(), None);
+    let mut sids = Vec::new();
+    for (dev, md, base) in [(1u64, 0u16, 0x1_0000u64), (2, 1, 0x2_0000)] {
+        let sid = unit.map_hot_device(DeviceId(dev)).unwrap();
+        unit.associate_sid_with_md(sid, MdIndex(md)).unwrap();
+        unit.install_entry(MdIndex(md), entry(base, 0x1000, Permissions::rw()))
+            .unwrap();
+        sids.push(sid);
+    }
+    for cold in [7u64, 8] {
+        unit.register_cold_device(
+            DeviceId(cold),
+            MountableEntry {
+                domains: vec![],
+                entries: vec![entry(0x7_0000, 0x1000, Permissions::rw())],
+            },
+        )
+        .unwrap();
+    }
+    unit.handle_sid_missing(DeviceId(7)).unwrap();
+    sids.push(unit.config().cold_sid());
+
+    let mut sim = BusSim::build(
+        BusConfig::default(),
+        Box::new(SiopmpPolicy::new(unit)),
+        None,
+    );
+    let retry = RetryPolicy::bounded(3, 2);
+    for (dev, kind, base, bursts) in [
+        (1, BurstKind::Read, 0x1_0000, 12),
+        (2, BurstKind::Write, 0x2_0000, 12),
+        (7, BurstKind::Read, 0x7_0000, 8),
+    ] {
+        sim.add_master(
+            MasterProgram::streaming(dev, kind, base, 64, bursts)
+                .with_outstanding(2)
+                .with_retry(retry),
+        );
+    }
+    sim.set_fault_plan(FaultPlan::generate(
+        seed,
+        &FaultPlanConfig {
+            horizon: 300,
+            budget: 24,
+            masters: 3,
+            block_sids: sids,
+            cold_devices: vec![DeviceId(7), DeviceId(8)],
+            churn_devices: vec![],
+        },
+    ));
+    sim.run_to_completion(100_000)
+}
+
+#[test]
+fn fault_storm_recovery_costs_exact_cycles_per_seed() {
+    for (seed, cycles) in [(2, 267), (7, 198), (42, 289), (1337, 243)] {
+        let report = storm(seed);
+        assert!(report.completed, "storm seed {seed} must converge");
+        let bursts: usize = report.masters.iter().map(|m| m.bursts_completed).sum();
+        assert_eq!((report.cycles, bursts), (cycles, 32), "storm seed {seed}");
+        assert!(report.total_retried() > 0, "seed {seed} retries nothing");
+        assert!(
+            report.total_faults_injected() > 0,
+            "seed {seed} injects nothing"
+        );
+    }
 }

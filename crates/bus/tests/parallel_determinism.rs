@@ -15,6 +15,9 @@
 //! The CI matrix re-runs this suite with `SIOPMP_THREADS` set to each
 //! leg's thread count; the value is appended to the built-in `[1, 2, 4,
 //! 8]` sweep so a determinism break at any matrix point fails the leg.
+//!
+//! A last test pins the paper-scale system (8 domains × 4 masters, 1024
+//! entries) to its exact simulated cost, identical at 1 and 8 threads.
 
 use siopmp::entry::{AddressRange, IopmpEntry, Permissions};
 use siopmp::ids::{DeviceId, MdIndex};
@@ -186,4 +189,108 @@ fn pinned_schedule_exercises_cross_traffic_violations_and_retries() {
         .expect("violation ring folded into the merged registry");
     assert!(!ring.events.is_empty());
     assert!(telemetry.counter("bus.retries").get() > 0);
+}
+
+/// Domains and masters per domain of the paper-scale system: each domain
+/// runs a 128-entry unit, 1024 entries across the system.
+const SCALE_DOMAINS: usize = 8;
+const SCALE_MASTERS: usize = 4;
+const SCALE_BURSTS: usize = 16;
+
+fn scale_window(domain: usize) -> u64 {
+    0x100_0000 * (domain as u64 + 1)
+}
+
+/// The peer-visible ingress range near the top of `domain`'s window.
+fn scale_ingress(domain: usize) -> u64 {
+    scale_window(domain) + 0xF0_0000
+}
+
+/// The paper-scale sharded system. Every domain's unit serves four local
+/// readers (one MD each); master 0 doubles as a cross-domain writer into
+/// the next domain's ingress range, authorised by egress entries at the
+/// source and, under its original device ID, by ingress entries at the
+/// destination (the hierarchical double-check).
+fn scale_sim(threads: usize) -> ParallelSim {
+    let device = |domain: usize, m: usize| (domain * 10 + m + 1) as u64;
+    let mut psim = ParallelSim::build(256, threads, Telemetry::new());
+    for domain in 0..SCALE_DOMAINS {
+        let base = scale_window(domain);
+        let next = (domain + 1) % SCALE_DOMAINS;
+        let prev = (domain + SCALE_DOMAINS - 1) % SCALE_DOMAINS;
+        let telemetry = Telemetry::new();
+        let config = SiopmpConfig {
+            num_entries: 128,
+            ..SiopmpConfig::small()
+        };
+        let mut unit = Siopmp::build(config, telemetry.clone());
+        let mut grant = |dev: u64, md: u16, pages: &[u64]| {
+            let sid = unit.map_hot_device(DeviceId(dev)).unwrap();
+            unit.associate_sid_with_md(sid, MdIndex(md)).unwrap();
+            for &page in pages {
+                unit.install_entry(MdIndex(md), entry(page, 0x1000, Permissions::rw()))
+                    .unwrap();
+            }
+        };
+        for m in 0..SCALE_MASTERS {
+            // 12 local pages, plus 4 egress pages into the next domain
+            // for master 0: within the 17-entry share of each MD.
+            let local = base + m as u64 * 0x4_0000;
+            let mut pages: Vec<u64> = (0..12).map(|i| local + i * 0x1000).collect();
+            if m == 0 {
+                pages.extend((0..4).map(|i| scale_ingress(next) + i * 0x1000));
+            }
+            grant(device(domain, m), m as u16, &pages);
+        }
+        let ingress: Vec<u64> = (0..4).map(|i| scale_ingress(domain) + i * 0x1000).collect();
+        grant(device(prev, 0), SCALE_MASTERS as u16, &ingress);
+
+        let mut spec = DomainSpec::for_policy(SiopmpPolicy::new(unit))
+            .with_home_window(base, 0x100_0000)
+            .with_telemetry(telemetry);
+        for m in 0..SCALE_MASTERS {
+            let local = base + m as u64 * 0x4_0000;
+            let mut program = MasterProgram::streaming(
+                device(domain, m),
+                BurstKind::Read,
+                local,
+                64,
+                SCALE_BURSTS,
+            );
+            if m == 0 {
+                program = program.chain(MasterProgram::streaming(
+                    device(domain, 0),
+                    BurstKind::Write,
+                    scale_ingress(next),
+                    64,
+                    SCALE_BURSTS / 4,
+                ));
+            }
+            spec = spec.with_master(program.with_outstanding(4));
+        }
+        psim.add_domain(spec);
+    }
+    psim
+}
+
+/// The barrier and exchange machinery costs no simulated time of its
+/// own: the paper-scale system drains in exactly 808 cycles for its 576
+/// bursts, at 1 and at 8 threads. Any change to that count is a change
+/// to the timing model and must update the pin on purpose.
+#[test]
+fn paper_scale_system_pins_its_simulated_cost() {
+    let serial = scale_sim(1).run(5_000_000);
+    let mut psim = scale_sim(8);
+    let report = psim.run(5_000_000);
+    assert_eq!(
+        report.to_json().pretty(),
+        serial.to_json().pretty(),
+        "threads=1 and threads=8 must be byte-identical"
+    );
+    assert!(report.completed, "the workload must drain");
+    let bursts: usize = report.masters.iter().map(|m| m.bursts_completed).sum();
+    assert_eq!((report.cycles, bursts), (808, 576));
+    let telemetry = psim.telemetry();
+    assert!(telemetry.counter("parallel.cross_domain_bursts").get() > 0);
+    assert_eq!(telemetry.counter("parallel.unrouted_egress").get(), 0);
 }

@@ -1,11 +1,13 @@
-//! The allocation-free check fast path: per-SID compiled masked views and
-//! a page-granular, epoch-invalidated decision cache.
+//! Page arithmetic and the soundness rule of the check fast path: per-SID
+//! compiled masked views and a page-granular, epoch-invalidated decision
+//! cache.
 //!
 //! The naive check path re-walks every memory-domain window, heap-allocates
 //! a scratch vector and re-sorts the masked entry list on **every** DMA
-//! beat — the opposite of the paper's single-cycle MT checker. This module
-//! provides the two structures [`crate::Siopmp`] uses to make the hot path
-//! cheap without changing semantics:
+//! beat — the opposite of the paper's single-cycle MT checker. Each
+//! published [`crate::snapshot::CheckerSnapshot`] carries the two
+//! structures that make the hot path cheap without changing semantics;
+//! this module holds the page rules they share:
 //!
 //! * a **compiled masked view** per SID — the sorted
 //!   `(EntryIndex, IopmpEntry)` slice reachable from the SID's SRC2MD
@@ -46,7 +48,7 @@
 
 use crate::checker::Decision;
 use crate::entry::IopmpEntry;
-use crate::ids::{EntryIndex, SourceId};
+use crate::ids::EntryIndex;
 use crate::request::AccessKind;
 
 /// Log2 of the decision-cache page size.
@@ -98,145 +100,6 @@ pub fn page_verdict(
         }
     }
     Some(Decision::DenyNoMatch)
-}
-
-/// One SID's compiled masked view: the entries reachable from its SRC2MD
-/// registration, sorted by index, tagged with the epoch they were built at.
-#[derive(Debug, Clone, Default)]
-struct CompiledView {
-    /// Epoch this view was compiled at (`0` = never built; the global
-    /// epoch starts at 1).
-    built_epoch: u64,
-    entries: Vec<(EntryIndex, IopmpEntry)>,
-}
-
-/// One direct-mapped cache slot. `epoch == 0` marks an empty slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    epoch: u64,
-    sid: SourceId,
-    page: u64,
-    kind: AccessKind,
-    decision: Decision,
-}
-
-impl Slot {
-    const EMPTY: Slot = Slot {
-        epoch: 0,
-        sid: SourceId(0),
-        page: 0,
-        kind: AccessKind::Read,
-        decision: Decision::DenyNoMatch,
-    };
-}
-
-/// The check fast path's state: compiled per-SID views plus the
-/// direct-mapped page decision cache, both invalidated by one shared
-/// epoch. Constructed with `slots == 0` the whole fast path is disabled
-/// and [`crate::Siopmp`] falls back to the walk-and-sort reference path
-/// (the configuration used by the differential suite and the uncached
-/// benchmark arm).
-#[derive(Debug, Clone)]
-pub struct DecisionCache {
-    epoch: u64,
-    views: Vec<CompiledView>,
-    slots: Vec<Slot>,
-    mask: u64,
-}
-
-impl DecisionCache {
-    /// Creates a cache with `slots` decision slots (rounded up to a power
-    /// of two; `0` disables the fast path) covering `num_sids` SIDs.
-    pub fn new(slots: usize, num_sids: usize) -> Self {
-        let slots = if slots == 0 {
-            0
-        } else {
-            slots.next_power_of_two()
-        };
-        DecisionCache {
-            epoch: 1,
-            views: vec![CompiledView::default(); if slots == 0 { 0 } else { num_sids }],
-            slots: vec![Slot::EMPTY; slots],
-            mask: (slots as u64).wrapping_sub(1),
-        }
-    }
-
-    /// Whether the fast path is enabled (`slots > 0` at construction).
-    pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    /// Number of decision slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The current table epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Invalidates every view and cached verdict by bumping the epoch —
-    /// O(1), called by every configuration mutator.
-    pub fn invalidate_all(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn index(&self, sid: SourceId, page: u64, kind: AccessKind) -> usize {
-        let key = (page >> PAGE_SHIFT) ^ (u64::from(sid.0) << 48) ^ ((kind as u64) << 63);
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) & self.mask) as usize
-    }
-
-    /// Looks up the cached verdict for `(sid, page, kind)` at the current
-    /// epoch.
-    pub fn lookup(&self, sid: SourceId, page: u64, kind: AccessKind) -> Option<Decision> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let slot = &self.slots[self.index(sid, page, kind)];
-        (slot.epoch == self.epoch && slot.sid == sid && slot.page == page && slot.kind == kind)
-            .then_some(slot.decision)
-    }
-
-    /// Stores `decision` for `(sid, page, kind)` at the current epoch,
-    /// evicting whatever occupied the slot.
-    pub fn insert(&mut self, sid: SourceId, page: u64, kind: AccessKind, decision: Decision) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let index = self.index(sid, page, kind);
-        self.slots[index] = Slot {
-            epoch: self.epoch,
-            sid,
-            page,
-            kind,
-            decision,
-        };
-    }
-
-    /// Starts a rebuild of `sid`'s compiled view when it is stale: returns
-    /// the cleared backing vector (capacity preserved) for the caller to
-    /// fill and sort, and marks the view current. Returns `None` when the
-    /// view is already at the current epoch.
-    pub fn begin_view_rebuild(
-        &mut self,
-        sid: SourceId,
-    ) -> Option<&mut Vec<(EntryIndex, IopmpEntry)>> {
-        let view = &mut self.views[sid.0 as usize];
-        if view.built_epoch == self.epoch {
-            return None;
-        }
-        view.built_epoch = self.epoch;
-        view.entries.clear();
-        Some(&mut view.entries)
-    }
-
-    /// The compiled view for `sid`. Only meaningful after
-    /// [`DecisionCache::begin_view_rebuild`] returned `None` or its buffer
-    /// was filled for the current epoch.
-    pub fn view(&self, sid: SourceId) -> &[(EntryIndex, IopmpEntry)] {
-        &self.views[sid.0 as usize].entries
-    }
 }
 
 #[cfg(test)]
@@ -308,54 +171,5 @@ mod tests {
     fn verdict_top_page_never_cached() {
         let top = page_of(u64::MAX);
         assert_eq!(page_verdict(&[], top, AccessKind::Read), None);
-    }
-
-    #[test]
-    fn lookup_respects_epoch_and_key() {
-        let mut c = DecisionCache::new(64, 4);
-        let sid = SourceId(1);
-        let d = Decision::Allow {
-            matched: EntryIndex(7),
-        };
-        c.insert(sid, 0x3000, AccessKind::Read, d);
-        assert_eq!(c.lookup(sid, 0x3000, AccessKind::Read), Some(d));
-        assert_eq!(c.lookup(sid, 0x3000, AccessKind::Write), None);
-        assert_eq!(c.lookup(SourceId(2), 0x3000, AccessKind::Read), None);
-        c.invalidate_all();
-        assert_eq!(c.lookup(sid, 0x3000, AccessKind::Read), None);
-    }
-
-    #[test]
-    fn disabled_cache_is_inert() {
-        let mut c = DecisionCache::new(0, 4);
-        assert!(!c.is_enabled());
-        c.insert(SourceId(0), 0x1000, AccessKind::Read, Decision::DenyNoMatch);
-        assert_eq!(c.lookup(SourceId(0), 0x1000, AccessKind::Read), None);
-    }
-
-    #[test]
-    fn view_rebuild_reuses_capacity_and_epoch_tags() {
-        let mut c = DecisionCache::new(8, 2);
-        let sid = SourceId(0);
-        {
-            let buf = c.begin_view_rebuild(sid).expect("first build");
-            buf.push((EntryIndex(1), entry(0x1000, 0x100, Permissions::rw())));
-        }
-        assert!(c.begin_view_rebuild(sid).is_none(), "fresh view reused");
-        assert_eq!(c.view(sid).len(), 1);
-        let cap = {
-            c.invalidate_all();
-            let buf = c.begin_view_rebuild(sid).expect("stale after bump");
-            assert!(buf.is_empty(), "rebuild starts from a cleared buffer");
-            buf.capacity()
-        };
-        assert!(cap >= 1, "capacity survives the rebuild");
-    }
-
-    #[test]
-    fn slot_count_rounds_to_power_of_two() {
-        assert_eq!(DecisionCache::new(1000, 1).slot_count(), 1024);
-        assert_eq!(DecisionCache::new(1, 1).slot_count(), 1);
-        assert_eq!(DecisionCache::new(0, 1).slot_count(), 0);
     }
 }

@@ -9,7 +9,8 @@
 //! everything that can influence a *future* check verdict or a future
 //! mutator's outcome, and nothing else.
 //!
-//! Included: the configuration knobs, the CAM rows **with their clock
+//! Included: the configuration knobs that shape verdicts, the CAM rows
+//! **with their clock
 //! reference bits** (they steer [`crate::Siopmp::promote_with_eviction`]'s
 //! victim choice, so states differing only in reference bits can still
 //! transition differently), the SRC2MD associations, the MDCFG windows,
@@ -18,8 +19,9 @@
 //!
 //! Excluded: the table epoch and publish generation (monotone counters —
 //! keying on them would make every state unique and the dedup vacuous),
-//! telemetry counters, the violation log, and cached decision state (all
-//! observability, none of it feeds back into verdicts).
+//! telemetry counters, the violation log and its capacity, and cached
+//! decision state and its sizing (all observability or memoisation, none
+//! of it feeds back into verdicts).
 //!
 //! The encoding is self-delimiting (every variable-length section is
 //! length-prefixed), so distinct states cannot collide byte-wise; the
@@ -37,9 +39,10 @@ pub type CanonicalColdRecord = (u64, u64, Vec<CanonicalRule>);
 /// [`crate::Siopmp::canonical_state`]. Field order is encoding order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CanonicalState {
-    /// Debug rendering of the [`crate::SiopmpConfig`] — geometry, checker
-    /// strategy, violation mode, placement and cache sizing in one stable
-    /// string.
+    /// The [`crate::SiopmpConfig`] fields that shape verdicts — geometry,
+    /// checker strategy, violation mode, placement and mountability — in
+    /// one stable string. Cache sizing and the violation-log capacity are
+    /// left out.
     pub config: String,
     /// CAM rows `(sid, device, reference_bit)` in SID order.
     pub hot: Vec<(u16, u64, bool)>,
@@ -240,6 +243,44 @@ mod tests {
         assert_ne!(with_record, base);
         u.handle_sid_missing(DeviceId(9)).unwrap();
         assert_ne!(u.canonical_state(), with_record);
+    }
+
+    #[test]
+    fn fingerprint_ignores_cache_sizing_and_log_capacity() {
+        let base = unit().policy_fingerprint();
+        let mut u = unit();
+        u.set_violation_log_capacity(8).unwrap();
+        assert_eq!(u.policy_fingerprint(), base);
+        for slots in [0, 1, 64] {
+            let mut u = Siopmp::build(
+                SiopmpConfig {
+                    decision_cache_slots: slots,
+                    ..SiopmpConfig::small()
+                },
+                None,
+            );
+            let sid = u.map_hot_device(DeviceId(1)).unwrap();
+            u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
+            u.install_entry(
+                MdIndex(0),
+                IopmpEntry::new(
+                    AddressRange::new(0x1000, 0x1000).unwrap(),
+                    Permissions::rw(),
+                ),
+            )
+            .unwrap();
+            assert_eq!(u.policy_fingerprint(), base, "{slots} cache slots");
+        }
+        // A geometry change is policy: it must move the fingerprint.
+        let wider = Siopmp::build(
+            SiopmpConfig {
+                num_entries: 64,
+                ..SiopmpConfig::small()
+            },
+            None,
+        );
+        let narrow = Siopmp::build(SiopmpConfig::small(), None);
+        assert_ne!(wider.policy_fingerprint(), narrow.policy_fingerprint());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The unified flag grammar shared by every binary in the workspace.
 //!
-//! `siopmp-scenario`, `repro`, `siopmp-bench`, `siopmp-verify` and
-//! `siopmp-prove` all parse their command lines through [`Spec::parse`],
+//! `siopmp-scenario`, `repro`, `siopmp-verify`, `siopmp-prove` and
+//! `siopmp-serviced` all parse their command lines through [`Spec::parse`],
 //! so the common spellings are identical everywhere:
 //!
 //! | flag | meaning |

@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON writer.
 //!
 //! The workspace builds on machines with no crates.io access, so machine
-//! readable output (telemetry snapshots, `BENCH_<scenario>.json`, the
+//! readable output (telemetry snapshots, every CLI's `--json` report, the
 //! repro binary's `--json` dump) is serialized through this module instead
 //! of an external library. Only what the observability layer needs is
 //! implemented: objects, arrays, strings, integers, floats and booleans.
@@ -172,8 +172,8 @@ impl fmt::Display for Json {
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Wraps a tool's machine-readable output in the workspace-wide report
-/// envelope shared by `siopmp-scenario`, `repro --json`,
-/// `BENCH_<scenario>.json` and `siopmp-verify`:
+/// envelope shared by `siopmp-scenario`, `repro --json`, `siopmp-prove`
+/// and `siopmp-verify`:
 ///
 /// ```json
 /// {"schema_version": 1, "scenario": "...", "seed": 7, "threads": 4,

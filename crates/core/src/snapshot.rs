@@ -46,9 +46,8 @@
 //! # The shared decision cache
 //!
 //! Each snapshot carries its own direct-mapped page-verdict table, so
-//! publishing a snapshot *is* the epoch invalidation — exactly the
-//! semantics of [`crate::cache::DecisionCache::invalidate_all`], with the
-//! same slot-index function. Because many threads now fill the same
+//! publishing a snapshot *is* the epoch invalidation: a fresh snapshot
+//! starts with every slot empty. Because many threads fill the same
 //! slots, each slot is a miniature **seqlock**: writers claim the slot by
 //! bumping its version to odd (losers simply drop their fill — a benign
 //! lost insert), store the payload, then release an even version; readers
@@ -346,11 +345,16 @@ impl CheckerSnapshot {
         !self.slots.is_empty()
     }
 
-    /// Same slot-index function as the single-threaded
-    /// [`crate::cache::DecisionCache`], so both caches exhibit identical
-    /// direct-mapped conflict behaviour.
+    /// The direct-mapped slot for `(sid, page, kind)`: bits 24.. of a
+    /// Fibonacci hash of the key. A product's bit `i` depends only on the
+    /// multiplicand's bits `0..=i`, so the key's high half (the SID at bit
+    /// 48, the access kind at bit 63) is folded into the low half first;
+    /// otherwise neither could reach the index, and one SID reading and
+    /// writing a page — or two SIDs sharing it — would evict each other on
+    /// every check.
     fn slot_index(&self, sid: SourceId, page: u64, kind: AccessKind) -> usize {
         let key = (page >> PAGE_SHIFT) ^ (u64::from(sid.0) << 48) ^ ((kind as u64) << 63);
+        let key = key ^ (key >> 32);
         ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) & self.mask) as usize
     }
 

@@ -166,7 +166,7 @@ impl Siopmp {
     /// Creates a unit from `config`. Pass a [`Telemetry`] registry to have
     /// the unit record its metrics (the `siopmp.*` namespace) in the
     /// caller's shared registry — how the monitor, the bus simulator and
-    /// the bench harness observe one unit through a single snapshot — or
+    /// the test suites observe one unit through a single snapshot — or
     /// `None` for a private registry.
     ///
     /// # Panics
@@ -363,11 +363,16 @@ impl Siopmp {
     ///
     /// # Errors
     ///
-    /// * [`SiopmpError::DeviceAlreadyMapped`] when already hot;
+    /// * [`SiopmpError::DeviceAlreadyMapped`] when already registered (hot
+    ///   or cold; a cold device goes hot only through
+    ///   [`Siopmp::promote_with_eviction`]);
     /// * [`SiopmpError::HotSidsExhausted`] when the CAM is full (use
     ///   [`Siopmp::register_cold_device`] or
     ///   [`Siopmp::promote_with_eviction`]).
     pub fn map_hot_device(&mut self, device: DeviceId) -> Result<SourceId> {
+        if self.extended.contains(device) {
+            return Err(SiopmpError::DeviceAlreadyMapped(device));
+        }
         self.mutate(|u| {
             u.bump_epoch();
             u.cam.insert(device)
@@ -557,6 +562,41 @@ impl Siopmp {
         })
     }
 
+    /// Releases `device` from the unit, so no SID speaks for it any more.
+    /// A hot device loses its CAM row and its SID's SRC2MD associations;
+    /// a cold device is unmounted if mounted (clearing the cold window and
+    /// the cold SID's associations) and its extended-table record is
+    /// removed. Entries in the device's hot memory domains are left for
+    /// the caller to clear.
+    ///
+    /// # Errors
+    ///
+    /// * [`SiopmpError::UnknownDevice`] when the device is neither hot nor
+    ///   cold;
+    /// * [`SiopmpError::Locked`] when the SRC2MD register to clear is
+    ///   locked; nothing is released then.
+    pub fn release_device(&mut self, device: DeviceId) -> Result<()> {
+        self.mutate(|u| {
+            u.bump_epoch();
+            if let Some(sid) = u.cam.peek(device) {
+                u.src2md.clear(sid)?;
+                u.cam.remove(device)?;
+                return Ok(());
+            }
+            if !u.extended.contains(device) {
+                return Err(SiopmpError::UnknownDevice(device));
+            }
+            if u.esid.matches(device) {
+                let (start, end) = u.mdcfg.window(u.config.cold_md())?;
+                u.src2md.clear(u.config.cold_sid())?;
+                u.entries.clear_window(start, end);
+                u.esid.unmount();
+            }
+            u.extended.remove(device)?;
+            Ok(())
+        })
+    }
+
     /// Whether `device` currently holds a hot SID.
     pub fn is_hot(&self, device: DeviceId) -> bool {
         self.cam.peek(device).is_some()
@@ -706,8 +746,25 @@ impl Siopmp {
             })
             .collect();
         cold.sort_by_key(|&(dev, ..)| dev);
+        // Every configuration field except the decision-cache sizing and the
+        // violation-log capacity, which never change a verdict. No `..`: a
+        // new field must be placed on one side or the other to compile.
+        let SiopmpConfig {
+            num_sids,
+            num_mds,
+            num_entries,
+            cold_md_entries,
+            checker,
+            violation_mode,
+            placement,
+            mountable,
+            decision_cache_slots: _,
+            violation_log_capacity: _,
+        } = &self.config;
         CanonicalState {
-            config: format!("{:?}", self.config),
+            config: format!(
+                "sids={num_sids} mds={num_mds} entries={num_entries} cold_entries={cold_md_entries} checker={checker:?} violation={violation_mode:?} placement={placement:?} mountable={mountable}"
+            ),
             hot: self
                 .cam
                 .iter()
@@ -1079,7 +1136,39 @@ mod tests {
         // Retry succeeds via the eSID path.
         let out = u.check(&req);
         assert!(out.is_allowed());
-        assert_eq!(u.stats().cold_hits, 1);
+        let stats = u.stats();
+        assert_eq!(stats.cold_hits, 1);
+        assert_eq!(stats.sid_missing_interrupts, 1);
+        assert_eq!(stats.cold_switches, 1);
+    }
+
+    #[test]
+    fn a_device_is_never_both_hot_and_cold() {
+        let mut u = unit();
+        let record = MountableEntry {
+            domains: vec![],
+            entries: vec![],
+        };
+        u.map_hot_device(DeviceId(1)).unwrap();
+        u.register_cold_device(DeviceId(2), record.clone()).unwrap();
+        let epoch = u.cache_epoch();
+        assert_eq!(
+            u.register_cold_device(DeviceId(1), record),
+            Err(SiopmpError::DeviceAlreadyMapped(DeviceId(1)))
+        );
+        // A free hot SID does not let a cold device take a second identity.
+        assert!(u.config().num_hot_sids() > 1);
+        assert_eq!(
+            u.map_hot_device(DeviceId(2)),
+            Err(SiopmpError::DeviceAlreadyMapped(DeviceId(2)))
+        );
+        assert!(u.is_hot(DeviceId(1)) && !u.is_cold(DeviceId(1)));
+        assert!(u.is_cold(DeviceId(2)) && !u.is_hot(DeviceId(2)));
+        assert_eq!(
+            u.cache_epoch(),
+            epoch,
+            "a refused registration publishes nothing"
+        );
     }
 
     #[test]
@@ -1299,6 +1388,33 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_view_rebuilds, 1);
+    }
+
+    #[test]
+    fn reads_writes_and_sids_sharing_a_page_keep_their_own_slots() {
+        let mut u = unit();
+        for dev in [1, 2] {
+            let sid = u.map_hot_device(DeviceId(dev)).unwrap();
+            u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
+        }
+        u.install_entry(MdIndex(0), entry(0x1000, 0x1000, Permissions::rw()))
+            .unwrap();
+        let read = DmaRequest::new(DeviceId(1), AccessKind::Read, 0x1100, 8);
+        let write = DmaRequest::new(DeviceId(1), AccessKind::Write, 0x1100, 8);
+        let other = DmaRequest::new(DeviceId(2), AccessKind::Read, 0x1100, 8);
+        // One SID alternating read and write on one page, then two SIDs
+        // alternating reads on it: each key misses once (the read is
+        // already warm for the second pattern), every other check hits.
+        for (a, b, new_keys) in [(&read, &write, 2), (&read, &other, 1)] {
+            let before = u.stats();
+            for _ in 0..10 {
+                assert!(u.check(a).is_allowed());
+                assert!(u.check(b).is_allowed());
+            }
+            let s = u.stats();
+            assert_eq!(s.cache_misses - before.cache_misses, new_keys);
+            assert_eq!(s.cache_hits - before.cache_hits, 20 - new_keys);
+        }
     }
 
     #[test]

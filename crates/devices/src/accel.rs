@@ -77,18 +77,6 @@ impl Accelerator {
         }
     }
 
-    /// Creates an accelerator with a private telemetry registry.
-    #[deprecated(note = "use `Accelerator::build(device_id, None)`")]
-    pub fn new(device_id: u64) -> Self {
-        Self::build(device_id, None)
-    }
-
-    /// Creates an accelerator sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `Accelerator::build(device_id, telemetry)`")]
-    pub fn with_telemetry(device_id: u64, telemetry: Telemetry) -> Self {
-        Self::build(device_id, telemetry)
-    }
-
     /// The accelerator's telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

@@ -83,26 +83,6 @@ impl DmaCopyEngine {
         }
     }
 
-    /// Creates an engine with a private telemetry registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `burst_bytes` is zero.
-    #[deprecated(note = "use `DmaCopyEngine::build(device_id, burst_bytes, None)`")]
-    pub fn new(device_id: u64, burst_bytes: u64) -> Self {
-        Self::build(device_id, burst_bytes, None)
-    }
-
-    /// Creates an engine sharing the caller's `telemetry` registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `burst_bytes` is zero.
-    #[deprecated(note = "use `DmaCopyEngine::build(device_id, burst_bytes, telemetry)`")]
-    pub fn with_telemetry(device_id: u64, burst_bytes: u64, telemetry: Telemetry) -> Self {
-        Self::build(device_id, burst_bytes, telemetry)
-    }
-
     /// The engine's telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

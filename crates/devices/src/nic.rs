@@ -122,18 +122,6 @@ impl Nic {
         }
     }
 
-    /// Creates a NIC with a private telemetry registry.
-    #[deprecated(note = "use `Nic::build(device_id, layout, None)`")]
-    pub fn new(device_id: u64, layout: NicLayout) -> Self {
-        Self::build(device_id, layout, None)
-    }
-
-    /// Creates a NIC sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `Nic::build(device_id, layout, telemetry)`")]
-    pub fn with_telemetry(device_id: u64, layout: NicLayout, telemetry: Telemetry) -> Self {
-        Self::build(device_id, layout, telemetry)
-    }
-
     /// The NIC's telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

@@ -12,8 +12,8 @@
 //!
 //! The command line goes through the workspace's unified grammar
 //! ([`siopmp_scenario::cli::Spec`]), so `--json`, `--list`, `--threads`
-//! and `--out` spell the same here as in `siopmp-scenario`,
-//! `siopmp-bench` and `siopmp-verify`. The historical `-l` spelling of
+//! and `--out` spell the same here as in `siopmp-scenario` and
+//! `siopmp-verify`. The historical `-l` spelling of
 //! `--list` still works but warns.
 //!
 //! With `--json`, the selected experiments' outputs are wrapped in the

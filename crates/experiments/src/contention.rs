@@ -1,7 +1,7 @@
 //! Contended-readers workload: wait-free `SharedSiopmp` checks racing a
 //! mutating owner.
 //!
-//! This module is the setup half of the `contended_readers` bench scenario
+//! This module is the setup half of the `contended_readers` test suite
 //! (it is not a paper artifact, so it does not appear in [`crate::ALL`]):
 //! it builds a checker with page-aligned entries so verdicts are
 //! decision-cacheable, a deterministic per-reader request stream mixing

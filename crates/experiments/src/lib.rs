@@ -1,9 +1,9 @@
 //! # siopmp-experiments — regenerating the sIOPMP evaluation
 //!
 //! One module per table/figure of the paper's evaluation section (§6),
-//! each exposing a structured `data()` function (used by tests and the
-//! Criterion benches) and a `render()` function producing the text table
-//! the `repro` binary prints.
+//! each exposing a structured `data()` function (used by tests) and a
+//! `render()` function producing the text table the `repro` binary
+//! prints.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -19,8 +19,8 @@
 //! | [`fig17`] | Figure 17 — cold-device switching overhead |
 //! | [`coldswitch`] | §6.3 — single cold-switch cost (341 cycles) |
 //!
-//! [`contention`] is bench support (the `contended_readers` scenario's
-//! shared-checker workload), not a paper artifact, so it is absent from
+//! [`contention`] is test support (the shared-checker workload of the
+//! `contended_readers` suite), not a paper artifact, so it is absent from
 //! [`ALL`].
 //!
 //! Run them all with `cargo run -p siopmp-experiments --bin repro`, or one

@@ -155,18 +155,6 @@ impl Iommu {
         }
     }
 
-    /// Creates an IOMMU with a private telemetry registry.
-    #[deprecated(note = "use `Iommu::build(policy, None)`")]
-    pub fn new(policy: InvalidationPolicy) -> Self {
-        Self::build(policy, None)
-    }
-
-    /// Creates an IOMMU sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `Iommu::build(policy, telemetry)`")]
-    pub fn with_telemetry(policy: InvalidationPolicy, telemetry: Telemetry) -> Self {
-        Self::build(policy, telemetry)
-    }
-
     /// The IOMMU's telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

@@ -3,7 +3,7 @@
 //!
 //! Flow mirroring the paper's example:
 //!
-//! 1. at boot the monitor owns every capability ([`SecureMonitor::boot`]
+//! 1. at boot the monitor owns every capability ([`SecureMonitor::build`]
 //!    mints roots and hands the boot system what it is given);
 //! 2. `create_tee(caps)` transfers device and memory capabilities from the
 //!    boot system into a fresh TEE;
@@ -167,8 +167,11 @@ pub struct SecureMonitor {
     siopmp: Siopmp,
     pmp: PmpController,
     irqs: InterruptController,
-    /// Next hot memory domain to hand out (round-robin over hot MDs).
+    /// Next never-used hot memory domain to hand out.
     next_md: u16,
+    /// Hot memory domains returned by destroyed TEEs, reused before
+    /// `next_md` advances.
+    free_mds: Vec<MdIndex>,
     /// When set, a cold switch is committed only after the static analyzer
     /// clears the post-switch state of Error-severity findings.
     preswitch_verify: bool,
@@ -199,6 +202,7 @@ impl SecureMonitor {
             pmp,
             irqs: InterruptController::new(),
             next_md: 0,
+            free_mds: Vec::new(),
             preswitch_verify: false,
             counters: MonitorCounters::attach(&telemetry),
             telemetry,
@@ -206,18 +210,6 @@ impl SecureMonitor {
             measurement_chain: siopmp::canonical::FNV_OFFSET,
             measurement_seq: 0,
         }
-    }
-
-    /// Boots the monitor with a private telemetry registry.
-    #[deprecated(note = "use `SecureMonitor::build(config, None)`")]
-    pub fn boot(config: SiopmpConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    /// Boots the monitor sharing the caller's `telemetry` registry.
-    #[deprecated(note = "use `SecureMonitor::build(config, telemetry)`")]
-    pub fn boot_with_telemetry(config: SiopmpConfig, telemetry: Telemetry) -> Self {
-        Self::build(config, telemetry)
     }
 
     /// The monitor's telemetry registry (shared with its sIOPMP unit).
@@ -308,6 +300,9 @@ impl SecureMonitor {
     }
 
     fn alloc_md(&mut self) -> Result<MdIndex, MonitorError> {
+        if let Some(md) = self.free_mds.pop() {
+            return Ok(md);
+        }
         let hot_mds = (self.siopmp.config().num_mds - 1) as u16;
         if self.next_md >= hot_mds {
             return Err(MonitorError::NoFreeMd);
@@ -325,16 +320,20 @@ impl SecureMonitor {
                 Some(sid)
             }
             Err(SiopmpError::HotSidsExhausted) => {
-                self.siopmp.register_cold_device(
-                    device,
-                    MountableEntry {
-                        domains: vec![md],
-                        entries: vec![],
-                    },
-                )?;
+                let record = MountableEntry {
+                    domains: vec![md],
+                    entries: vec![],
+                };
+                if let Err(e) = self.siopmp.register_cold_device(device, record) {
+                    self.free_mds.push(md);
+                    return Err(e.into());
+                }
                 None
             }
-            Err(e) => return Err(e.into()),
+            Err(e) => {
+                self.free_mds.push(md);
+                return Err(e.into());
+            }
         };
         let t = self.tees.get_mut(tee).ok_or(MonitorError::NoSuchTee(tee))?;
         t.devices.insert(
@@ -433,7 +432,14 @@ impl SecureMonitor {
             // Force a reload so the hardware window reflects the new entry
             // set (`handle_sid_missing` would treat the already-mounted
             // device as a free no-op and skip the reload).
-            unit.remount_cold_device(device)?;
+            if let Err(e) = unit.remount_cold_device(device) {
+                // The window did not change (it is full): drop the entry
+                // again, or the record would keep a grant no mapping owns.
+                let mut record = unit_extended_get(unit, device)?;
+                record.entries.pop();
+                unit_extended_put(unit, device, record);
+                return Err(e.into());
+            }
         }
         Ok(idx)
     }
@@ -478,6 +484,10 @@ impl SecureMonitor {
                     .filter(|(i, _)| !drop.contains(&(*i as u32)))
                     .map(|(_, e)| e)
                     .collect();
+                // The surviving mappings' positions close up over the gaps.
+                for idx in binding.mappings.values_mut().flatten() {
+                    idx.0 -= drop.iter().filter(|&&d| d < idx.0).count() as u32;
+                }
                 let n = drop.len();
                 let was_mounted = self.siopmp.mounted_cold_device() == Some(device);
                 unit_extended_put(&mut self.siopmp, device, record);
@@ -494,15 +504,18 @@ impl SecureMonitor {
         Ok(cycles)
     }
 
-    /// Destroys a TEE: revokes its capabilities and clears every entry it
-    /// installed.
+    /// Destroys a TEE: revokes its capabilities, clears every entry it
+    /// installed, releases its devices from the unit (hot devices give up
+    /// their SID, cold devices their extended-table record and any mount)
+    /// and returns their memory domains for reuse.
     ///
     /// # Errors
     ///
-    /// [`MonitorError::NoSuchTee`].
+    /// [`MonitorError::NoSuchTee`]; hardware errors from clearing entries
+    /// or releasing a device.
     pub fn destroy_tee(&mut self, tee: TeeId) -> Result<(), MonitorError> {
         let state = self.tees.destroy(tee).ok_or(MonitorError::NoSuchTee(tee))?;
-        for (_, binding) in state.devices {
+        for (device, binding) in state.devices {
             let indices: Vec<EntryIndex> = binding.mappings.into_values().flatten().collect();
             if let Some(sid) = binding.sid {
                 let updates: Vec<(EntryIndex, Option<IopmpEntry>)> =
@@ -510,6 +523,12 @@ impl SecureMonitor {
                 let cycles = self.siopmp.modify_entries_atomically(sid, &updates)?;
                 self.counters.cycles_spent.add(cycles);
             }
+            match self.siopmp.release_device(device) {
+                // Already gone from the unit: nothing left to release.
+                Ok(()) | Err(SiopmpError::UnknownDevice(_)) => {}
+                Err(e) => return Err(e.into()),
+            }
+            self.free_mds.push(binding.md);
         }
         for cap in state.caps {
             self.caps.revoke(EntityId::Monitor, cap)?;
@@ -912,6 +931,177 @@ mod tests {
             64,
         ));
         assert!(!out.is_allowed());
+    }
+
+    /// Two hot SIDs: devices 0 and 1 bind hot, device 2 binds cold and is
+    /// mapped over `[0x8000_2000, +0x100)`. Returns the TEE, its memory
+    /// capability and device 2's capability.
+    fn tee_with_cold_device(m: &mut SecureMonitor) -> (TeeId, CapId, CapId) {
+        let mem = m.mint_memory(0x8000_0000, 0x100_0000, MemPerms::rw());
+        let devs: Vec<CapId> = (0..3).map(|d| m.mint_device(DeviceId(d))).collect();
+        let tee = m.create_tee([vec![mem], devs.clone()].concat()).unwrap();
+        assert!(m.siopmp().is_cold(DeviceId(2)));
+        m.device_map(tee, devs[2], mem, 0x8000_2000, 0x100, MemPerms::rw())
+            .unwrap();
+        (tee, mem, devs[2])
+    }
+
+    fn two_hot_sids() -> SecureMonitor {
+        let mut cfg = SiopmpConfig::small();
+        cfg.num_sids = 3;
+        SecureMonitor::build(cfg, None)
+    }
+
+    #[test]
+    fn destroy_tee_revokes_and_clears_cold_devices() {
+        for mounted in [false, true] {
+            let mut m = two_hot_sids();
+            let (tee, mem, _) = tee_with_cold_device(&mut m);
+            let probe = DmaRequest::new(DeviceId(2), AccessKind::Read, 0x8000_2000, 64);
+            if mounted {
+                assert!(m.check_dma(&probe).is_allowed());
+                assert_eq!(m.siopmp().mounted_cold_device(), Some(DeviceId(2)));
+            }
+            m.destroy_tee(tee).unwrap();
+            assert!(m.caps().owner(mem).is_err());
+            assert!(!m.check_dma(&probe).is_allowed(), "mounted={mounted}");
+            assert!(!m.siopmp().is_cold(DeviceId(2)));
+            assert!(!m.siopmp().is_hot(DeviceId(0)));
+            assert_eq!(m.siopmp().mounted_cold_device(), None);
+            let report = m.verify_now();
+            assert!(!report.has_errors(), "{:?}", report.diagnostics());
+        }
+    }
+
+    #[test]
+    fn destroyed_devices_can_be_bound_again() {
+        let mut m = two_hot_sids();
+        let (tee, ..) = tee_with_cold_device(&mut m);
+        m.destroy_tee(tee).unwrap();
+        let (tee, ..) = tee_with_cold_device(&mut m);
+        assert!(m.siopmp().is_hot(DeviceId(0)) && m.siopmp().is_hot(DeviceId(1)));
+        let probe = DmaRequest::new(DeviceId(2), AccessKind::Write, 0x8000_2000, 64);
+        assert!(m.check_dma(&probe).is_allowed());
+        m.destroy_tee(tee).unwrap();
+        assert!(!m.check_dma(&probe).is_allowed());
+    }
+
+    #[test]
+    fn a_device_bound_to_a_live_tee_cannot_be_bound_again() {
+        let mut m = two_hot_sids();
+        let mem_a = m.mint_memory(0x8000_0000, 0x1000, MemPerms::rw());
+        let hot: Vec<CapId> = (0..2).map(|d| m.mint_device(DeviceId(d))).collect();
+        let a = m.create_tee([vec![mem_a], hot].concat()).unwrap();
+        let mem_b = m.mint_memory(0x8010_0000, 0x1000, MemPerms::rw());
+        let cold = m.mint_device(DeviceId(2));
+        let b = m.create_tee(vec![mem_b, cold]).unwrap();
+        assert!(m.siopmp().is_cold(DeviceId(2)));
+        m.device_map(b, cold, mem_b, 0x8010_0000, 0x100, MemPerms::rw())
+            .unwrap();
+        let bind_again = |m: &mut SecureMonitor, device: DeviceId| {
+            let mem = m.mint_memory(0x8020_0000 + device.0 * 0x1000, 0x1000, MemPerms::rw());
+            let again = m.mint_device(device);
+            m.create_tee(vec![mem, again])
+        };
+        assert!(matches!(
+            bind_again(&mut m, DeviceId(0)),
+            Err(MonitorError::Hw(SiopmpError::DeviceAlreadyMapped(
+                DeviceId(0)
+            )))
+        ));
+        // Both hot SIDs come free, yet device 2 stays B's.
+        m.destroy_tee(a).unwrap();
+        assert!(matches!(
+            bind_again(&mut m, DeviceId(2)),
+            Err(MonitorError::Hw(SiopmpError::DeviceAlreadyMapped(
+                DeviceId(2)
+            )))
+        ));
+        assert!(!m.siopmp().is_hot(DeviceId(2)));
+        let probe = DmaRequest::new(DeviceId(2), AccessKind::Read, 0x8010_0000, 64);
+        assert!(m.check_dma(&probe).is_allowed(), "B's mapping survives");
+        let report = m.verify_now();
+        assert!(!report.has_errors(), "{:?}", report.diagnostics());
+        // Once B is gone the device binds again, hot this time.
+        m.destroy_tee(b).unwrap();
+        assert!(!m.check_dma(&probe).is_allowed());
+        let mem = m.mint_memory(0x8030_0000, 0x1000, MemPerms::rw());
+        let again = m.mint_device(DeviceId(2));
+        m.create_tee(vec![mem, again]).unwrap();
+        assert!(m.siopmp().is_hot(DeviceId(2)) && !m.siopmp().is_cold(DeviceId(2)));
+        assert!(!m.verify_now().has_errors());
+    }
+
+    #[test]
+    fn create_destroy_cycles_recycle_memory_domains() {
+        let mut m = booted();
+        let hot_mds = m.siopmp().config().num_mds - 1;
+        for cycle in 0..3 * hot_mds as u64 {
+            let mem = m.mint_memory(0x8000_0000, 0x1000, MemPerms::rw());
+            let dev = m.mint_device(DeviceId(100 + cycle));
+            let tee = m.create_tee(vec![mem, dev]).unwrap();
+            m.device_map(tee, dev, mem, 0x8000_0000, 0x1000, MemPerms::rw())
+                .unwrap();
+            m.destroy_tee(tee).unwrap();
+        }
+        assert!(m.siopmp().hot_devices().is_empty());
+        assert!(!m.verify_now().has_errors());
+    }
+
+    #[test]
+    fn cold_unmap_keeps_other_mappings_in_step() {
+        let mut m = two_hot_sids();
+        let a = m.mint_memory(0x8000_0000, 0x1000, MemPerms::rw());
+        let b = m.mint_memory(0x8000_1000, 0x1000, MemPerms::rw());
+        let devs: Vec<CapId> = (0..3).map(|d| m.mint_device(DeviceId(d))).collect();
+        let tee = m.create_tee([vec![a, b], devs.clone()].concat()).unwrap();
+        m.device_map(tee, devs[2], a, 0x8000_0000, 0x100, MemPerms::rw())
+            .unwrap();
+        m.device_map(tee, devs[2], b, 0x8000_1000, 0x100, MemPerms::rw())
+            .unwrap();
+        // Unmapping `a` shifts `b`'s entry to the front of the record;
+        // unmapping `b` must still find and remove it.
+        m.device_unmap(tee, devs[2], a).unwrap();
+        m.device_unmap(tee, devs[2], b).unwrap();
+        let probe = DmaRequest::new(DeviceId(2), AccessKind::Read, 0x8000_1000, 64);
+        assert!(!m.check_dma(&probe).is_allowed());
+        assert!(m
+            .siopmp()
+            .cold_record(DeviceId(2))
+            .unwrap()
+            .entries
+            .is_empty());
+        assert!(!m.verify_now().has_errors());
+    }
+
+    #[test]
+    fn refused_cold_map_leaves_the_record_unchanged() {
+        let mut m = two_hot_sids();
+        let (tee, mem, dev_cap) = tee_with_cold_device(&mut m);
+        let dev = DeviceId(2);
+        let probe = DmaRequest::new(dev, AccessKind::Read, 0x8000_2000, 64);
+        assert!(m.check_dma(&probe).is_allowed(), "mounts device 2");
+        let window = m.siopmp().config().cold_md_entries as u64;
+        for k in 1..window {
+            m.device_map(
+                tee,
+                dev_cap,
+                mem,
+                0x8000_2000 + k * 0x100,
+                0x100,
+                MemPerms::rw(),
+            )
+            .unwrap();
+        }
+        let full = m.siopmp().cold_record(dev).unwrap().clone();
+        assert!(matches!(
+            m.device_map(tee, dev_cap, mem, 0x8000_3000, 0x100, MemPerms::rw()),
+            Err(MonitorError::Hw(SiopmpError::MdFull(_)))
+        ));
+        assert_eq!(m.siopmp().cold_record(dev).unwrap(), &full);
+        m.device_unmap(tee, dev_cap, mem).unwrap();
+        assert!(m.siopmp().cold_record(dev).unwrap().entries.is_empty());
+        assert!(!m.verify_now().has_errors());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # siopmp-scenario — SoC topologies as data
 //!
 //! The workspace grew one hand-coded Rust function per interesting
-//! topology (the `repro` exercises, the bench scenarios, the example
+//! topology (the `repro` exercises, the test systems, the example
 //! SoCs). This crate replaces that pattern with a declarative, versioned
 //! `.scn` format: a scenario file describes the sIOPMP unit
 //! configuration, the bus timing, the domains with their devices /

@@ -30,8 +30,7 @@
 //!
 //! JSON output (stdout with `--json`, file with `--out`) is wrapped in
 //! the workspace envelope `{schema_version, scenario, seed, threads,
-//! payload}` shared with `repro --json`, `siopmp-bench` and
-//! `siopmp-verify`.
+//! payload}` shared with `repro --json` and `siopmp-verify`.
 
 use siopmp::json::{envelope, Json};
 use siopmp_prove::{explore, Bounds};

@@ -3,7 +3,8 @@
 //! cycle table via [`evaluate_with_sim`], so the dominance and
 //! permutation properties run over a thousand seeded sweeps in test
 //! time; the thread-invariance property drives the real [`Explorer`]
-//! (and its real simulations) over a handful of seeds.
+//! (and its real simulations) over a handful of seeds, and the smoke
+//! sweep pins the paper point's modelled tail exactly.
 
 use siopmp::explore::{dominates, evaluate, DesignPoint, Objectives, Sweep};
 use siopmp_scenario::{evaluate_with_sim, Explorer};
@@ -178,4 +179,24 @@ fn paper_point_survives_any_sweep_that_contains_it() {
         }
         Ok(())
     });
+}
+
+/// The built-in smoke sweep over real workload samples: thread-invariant,
+/// the paper design point on the frontier, and its modelled p99 check
+/// cost exactly 84 cycles. The value is arithmetic over a deterministic
+/// simulation, so any change to it is a change to the timing model or
+/// the workload sample.
+#[test]
+fn smoke_sweep_pins_the_paper_point_at_84_cycles() {
+    let sweep = Sweep::smoke();
+    let one = Explorer::new(Some(1)).evaluate(&sweep).unwrap();
+    let four = Explorer::new(Some(4)).evaluate(&sweep).unwrap();
+    assert_eq!(
+        one.payload().pretty(),
+        four.payload().pretty(),
+        "threads=1 and threads=4 must be byte-identical"
+    );
+    assert!(one.paper_point_on_frontier());
+    let paper = one.points.iter().find(|r| r.paper).unwrap();
+    assert_eq!(paper.p99_cycles, 84);
 }

@@ -182,7 +182,7 @@ impl Fleet {
     }
 
     /// Builds a fleet from already-parsed scenarios (used by tests and
-    /// the bench harness, which have no files on disk).
+    /// the repository benchmark, which have no files on disk).
     ///
     /// # Errors
     ///

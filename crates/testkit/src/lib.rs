@@ -14,7 +14,9 @@
 //!   still-failing case;
 //! * [`check!`]/[`check_eq!`] — `prop_assert!`-style macros usable inside
 //!   `prop_check` closures (they return an `Err` instead of panicking so
-//!   the driver can shrink).
+//!   `prop_check` can shrink);
+//! * [`median_wall_ns`] — the one wall-clock measurement the `#[ignore]`d
+//!   timing guards share.
 //!
 //! ## Example
 //!
@@ -34,6 +36,7 @@
 //! ```
 
 use std::ops::Range;
+use std::time::Instant;
 
 /// SplitMix64: the seeding PRNG (also a fine generator on its own).
 ///
@@ -333,6 +336,32 @@ macro_rules! check_eq {
     }};
 }
 
+/// Wall-clock cost of `f` for the timing guards, in nanoseconds: one
+/// untimed warmup call, then 2 runs of 6 timed calls each. Each run's
+/// median is its 4th-fastest call; the result is the slower of the two
+/// run medians. So few samples absorb a descheduled call, not a noisy
+/// host, so the guards built on it are `#[ignore]`d and run in release.
+pub fn median_wall_ns(mut f: impl FnMut()) -> u64 {
+    const RUNS: usize = 2;
+    const ITERS: usize = 6;
+    f();
+    let mut run_medians: Vec<u64> = (0..RUNS)
+        .map(|_| {
+            let mut samples: Vec<u64> = (0..ITERS)
+                .map(|_| {
+                    let start = Instant::now();
+                    f();
+                    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+                })
+                .collect();
+            samples.sort_unstable();
+            samples[ITERS / 2]
+        })
+        .collect();
+    run_medians.sort_unstable();
+    run_medians[RUNS / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +455,13 @@ mod tests {
             let v = g.vec(1..200, |g| g.u64(0..10));
             assert!(!v.is_empty());
         }
+    }
+
+    #[test]
+    fn median_wall_ns_times_two_runs_of_six_after_one_warmup() {
+        let mut calls = 0;
+        median_wall_ns(|| calls += 1);
+        assert_eq!(calls, 1 + 2 * 6);
     }
 
     #[test]

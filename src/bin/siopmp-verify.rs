@@ -14,8 +14,7 @@
 //!
 //! The command line goes through the workspace's unified grammar
 //! ([`siopmp_scenario::cli::Spec`]): `--json`, `--list` and `--out`
-//! spell the same here as in `repro`, `siopmp-bench` and
-//! `siopmp-scenario`.
+//! spell the same here as in `repro` and `siopmp-scenario`.
 //!
 //! Positional arguments ending in `.scn` are parsed as declarative
 //! scenario files and linted per domain (`<stem>/<domain>` entries);
