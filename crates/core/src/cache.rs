@@ -1,6 +1,6 @@
 //! Page arithmetic and the soundness rule of the check fast path: per-SID
-//! compiled masked views and a page-granular, epoch-invalidated decision
-//! cache.
+//! compiled masked views and a page-granular decision cache, both
+//! invalidated by publishing a fresh snapshot.
 //!
 //! The naive check path re-walks every memory-domain window, heap-allocates
 //! a scratch vector and re-sorts the masked entry list on **every** DMA
@@ -17,12 +17,12 @@
 //! * a **decision cache** — a direct-mapped table of page-granular
 //!   verdicts keyed by `(SourceId, page, AccessKind)`.
 //!
-//! Both are guarded by a single table **epoch**: every configuration
+//! Both live in the snapshot they were built from: every configuration
 //! mutator (entry writes, MDCFG repartitioning, SRC2MD changes, SID
-//! block/unblock, cold mounts) bumps it, and a view or cached verdict is
-//! only consulted when its stored epoch equals the current one. Stale
+//! block/unblock, cold mounts) publishes a fresh snapshot whose views and
+//! slots start empty, and moves the publish generation by one. Stale
 //! verdicts are therefore impossible by construction — invalidation is one
-//! integer increment, never a table scan.
+//! pointer swap, never a table scan.
 //!
 //! # Page-granularity soundness
 //!

@@ -17,8 +17,8 @@
 //! the entry table, the extended/mountable table, the eSID mount point
 //! and the block bitmap.
 //!
-//! Excluded: the table epoch and publish generation (monotone counters —
-//! keying on them would make every state unique and the dedup vacuous),
+//! Excluded: the publish generation (a monotone counter — keying on it
+//! would make every state unique and the dedup vacuous),
 //! telemetry counters, the violation log and its capacity, and cached
 //! decision state and its sizing (all observability or memoisation, none
 //! of it feeds back into verdicts).
@@ -205,8 +205,8 @@ mod tests {
         let (sid, _) = b.hot_devices()[0];
         b.block_sid(sid);
         b.unblock_sid(sid);
-        // Epoch and generation moved; the canonical state must not have.
-        assert!(b.cache_epoch() > a.cache_epoch());
+        // The generation moved; the canonical state must not have.
+        assert!(b.generation() > a.generation());
         assert_eq!(a.canonical_state(), b.canonical_state());
     }
 

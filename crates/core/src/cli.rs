@@ -1,4 +1,4 @@
-//! The unified flag grammar shared by every binary in the workspace.
+//! The one flag grammar shared by every binary in the workspace.
 //!
 //! `siopmp-scenario`, `repro`, `siopmp-verify`, `siopmp-prove` and
 //! `siopmp-serviced` all parse their command lines through [`Spec::parse`],
@@ -11,29 +11,18 @@
 //! | `--seed N` | override the fault seed(s) |
 //! | `--threads N` | worker threads (>= 1) |
 //! | `--out PATH` | write the JSON artifact here |
-//! | `--baseline PATH` | regression-guard baseline file |
 //! | `--help` / `-h` | usage |
 //!
-//! Valued flags accept both `--seed 7` and `--seed=7`. Tools add their
-//! own flags via [`Spec::flags`]/[`Spec::options`] and keep old one-off
-//! spellings alive via [`Spec::deprecated`] — those still work but emit a
-//! deprecation warning (collected in [`Args::warnings`], printed to
-//! stderr by the caller), giving scripts a release to migrate.
+//! Valued flags accept both `--seed 7` and `--seed=7`. A tool accepts
+//! exactly the flags it reads: it lists its boolean flags in
+//! [`Spec::flags`] and its valued flags in [`Spec::options`], common ones
+//! included, and the parser refuses any other flag with the usage line.
+//! Only `--help`/`-h` needs no listing. Common flags land in the typed
+//! fields of [`Args`], `--seed` and `--threads` validated; the rest land
+//! in [`Args::flags`] and [`Args::options`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// Records that `alias` has been warned about for `tool` and reports
-/// whether it already had been. Deprecation warnings are a migration
-/// nudge, not a log line: a long-lived process (a daemon re-parsing
-/// request specs, a loop retrying `parse`) should nag once per process,
-/// not once per occurrence.
-fn alias_already_warned(tool: &str, alias: &str) -> bool {
-    static WARNED: Mutex<BTreeSet<(String, String)>> = Mutex::new(BTreeSet::new());
-    let mut seen = WARNED.lock().unwrap_or_else(|e| e.into_inner());
-    !seen.insert((tool.to_string(), alias.to_string()))
-}
 
 /// The static description of one tool's command line.
 pub struct Spec {
@@ -41,13 +30,12 @@ pub struct Spec {
     pub tool: &'static str,
     /// One-line usage string appended to errors and `--help`.
     pub usage: &'static str,
-    /// Tool-specific boolean flags (e.g. `--smoke`).
+    /// Boolean flags the tool reads, common (`--json`, `--list`) or its
+    /// own (e.g. `--smoke`).
     pub flags: &'static [&'static str],
-    /// Tool-specific valued flags.
+    /// Valued flags the tool reads, common (`--seed`, `--threads`,
+    /// `--out`) or its own.
     pub options: &'static [&'static str],
-    /// Deprecated alias → canonical spelling. The alias behaves exactly
-    /// like the canonical flag but lands a warning in [`Args::warnings`].
-    pub deprecated: &'static [(&'static str, &'static str)],
 }
 
 /// The parsed command line: the common surface as typed fields, the
@@ -66,16 +54,12 @@ pub struct Args {
     pub threads: Option<usize>,
     /// `--out PATH`.
     pub out: Option<PathBuf>,
-    /// `--baseline PATH`.
-    pub baseline: Option<PathBuf>,
     /// Tool-specific boolean flags that were present.
     pub flags: BTreeSet<String>,
     /// Tool-specific valued flags.
     pub options: BTreeMap<String, String>,
     /// Everything that was not a flag, in order.
     pub positional: Vec<String>,
-    /// Deprecation warnings to surface on stderr.
-    pub warnings: Vec<String>,
 }
 
 impl Args {
@@ -95,8 +79,9 @@ impl Spec {
     ///
     /// # Errors
     ///
-    /// Returns a ready-to-print message (usage included) on an unknown
-    /// flag, a missing value, or an invalid `--seed`/`--threads` value.
+    /// Returns a ready-to-print message (usage included) on a flag the
+    /// tool does not list, a missing value, or an invalid
+    /// `--seed`/`--threads` value.
     pub fn parse(&self, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
@@ -106,18 +91,14 @@ impl Spec {
                 continue;
             }
             // `--flag=value` splits here; `--flag value` pulls the next arg.
-            let (mut flag, inline) = match raw.split_once('=') {
+            let (flag, inline) = match raw.split_once('=') {
                 Some((f, v)) => (f.to_string(), Some(v.to_string())),
                 None => (raw.clone(), None),
             };
-            if let Some(&(_, canonical)) = self.deprecated.iter().find(|&&(old, _)| old == flag) {
-                if !alias_already_warned(self.tool, &flag) {
-                    out.warnings.push(format!(
-                        "{}: `{flag}` is deprecated, use `{canonical}`",
-                        self.tool
-                    ));
-                }
-                flag = canonical.to_string();
+            let listed =
+                self.flags.contains(&flag.as_str()) || self.options.contains(&flag.as_str());
+            if !listed && flag != "--help" && flag != "-h" {
+                return Err(self.fail(&format!("unknown flag `{flag}`")));
             }
             let mut value = |inline: Option<String>| -> Result<String, String> {
                 inline
@@ -143,16 +124,14 @@ impl Spec {
                     out.threads = Some(t as usize);
                 }
                 "--out" => out.out = Some(PathBuf::from(value(inline)?)),
-                "--baseline" => out.baseline = Some(PathBuf::from(value(inline)?)),
                 other if self.flags.contains(&other) => {
                     out.flags.insert(other.to_string());
                 }
-                other if self.options.contains(&other) => {
+                other => {
                     let key = other.to_string();
                     let v = value(inline)?;
                     out.options.insert(key, v);
                 }
-                other => return Err(self.fail(&format!("unknown flag `{other}`"))),
             }
         }
         Ok(out)
@@ -183,10 +162,9 @@ mod tests {
 
     const SPEC: Spec = Spec {
         tool: "demo",
-        usage: "usage: demo [--json] [--seed N] [--threads N] [--smoke] [--mode M] [NAME ...]",
-        flags: &["--smoke"],
-        options: &["--mode"],
-        deprecated: &[("-l", "--list")],
+        usage: "usage: demo [--json] [--seed N] [--threads N] [--out PATH] [--smoke] [--mode M] [NAME ...]",
+        flags: &["--json", "--smoke"],
+        options: &["--seed", "--threads", "--out", "--mode"],
     };
 
     fn strs(args: &[&str]) -> Vec<String> {
@@ -202,7 +180,6 @@ mod tests {
         assert_eq!(a.seed, Some(7));
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.positional, vec!["run.scn"]);
-        assert!(a.warnings.is_empty());
     }
 
     #[test]
@@ -222,36 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_alias_still_works_but_warns() {
-        let a = SPEC.parse(strs(&["-l"])).unwrap();
-        assert!(a.list);
-        assert_eq!(a.warnings.len(), 1);
-        assert!(a.warnings[0].contains("deprecated"), "{:?}", a.warnings);
-        assert!(a.warnings[0].contains("--list"), "{:?}", a.warnings);
-    }
-
-    #[test]
-    fn deprecated_alias_warns_once_per_process() {
-        // Distinct tool name: the once-per-process dedup is keyed
-        // `(tool, alias)`, and tests share one process.
-        const ONCE: Spec = Spec {
-            tool: "demo-once",
-            usage: "usage: demo-once [--list]",
-            flags: &[],
-            options: &[],
-            deprecated: &[("-x", "--list")],
-        };
-        // Two occurrences in one command line: one warning.
-        let a = ONCE.parse(strs(&["-x", "-x"])).unwrap();
-        assert!(a.list);
-        assert_eq!(a.warnings.len(), 1, "{:?}", a.warnings);
-        // A later parse in the same process: alias still works, no nag.
-        let b = ONCE.parse(strs(&["-x"])).unwrap();
-        assert!(b.list);
-        assert!(b.warnings.is_empty(), "{:?}", b.warnings);
-    }
-
-    #[test]
     fn errors_name_the_tool_and_carry_usage() {
         let err = SPEC.parse(strs(&["--frobnicate"])).unwrap_err();
         assert!(err.contains("demo:"), "{err}");
@@ -259,6 +206,26 @@ mod tests {
         assert!(SPEC.parse(strs(&["--threads", "0"])).is_err());
         assert!(SPEC.parse(strs(&["--seed"])).is_err());
         assert!(SPEC.parse(strs(&["--seed", "zonk"])).is_err());
+    }
+
+    #[test]
+    fn common_flags_the_tool_does_not_list_are_refused() {
+        for flag in ["--list", "-l", "--baseline=b.txt"] {
+            let err = SPEC.parse(strs(&[flag])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+            assert!(err.contains("usage:"), "{flag}: {err}");
+        }
+        // Listing a common flag is what accepts it; `--help` needs no listing.
+        const BARE: Spec = Spec {
+            tool: "bare",
+            usage: "usage: bare",
+            flags: &[],
+            options: &[],
+        };
+        for flag in ["--json", "--seed", "--threads", "--out"] {
+            assert!(BARE.parse(strs(&[flag, "1"])).is_err(), "{flag}");
+        }
+        assert!(BARE.parse(strs(&["-h"])).unwrap().help);
     }
 
     #[test]

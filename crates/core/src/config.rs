@@ -88,6 +88,19 @@ impl Default for SiopmpConfig {
 }
 
 impl SiopmpConfig {
+    /// Most source IDs a unit can have: a SID is 16 bits wide
+    /// ([`crate::ids::SourceId`]), and the cold mount SID is
+    /// `num_sids - 1`.
+    pub const MAX_SIDS: usize = 1 << 16;
+
+    /// Most slots [`SiopmpConfig::num_entries`] and
+    /// [`SiopmpConfig::decision_cache_slots`] may each ask for. The paper
+    /// sweeps 32..=1024 entries and the default cache has 1024 slots;
+    /// both tables are allocated when the unit is built (the cache again
+    /// with every published snapshot), so the cap keeps a mistyped size
+    /// from allocating without bound.
+    pub const MAX_TABLE_SLOTS: usize = 1 << 20;
+
     /// Number of SIDs usable by hot devices (`num_sids - 1`; the last SID is
     /// the cold-device mount slot).
     pub fn num_hot_sids(&self) -> usize {
@@ -111,11 +124,18 @@ impl SiopmpConfig {
     ///
     /// Returns [`SiopmpError::InvalidConfig`] when a field combination cannot
     /// describe real hardware (zero-sized tables, cold reservation larger
-    /// than the entry table, more MDs than the SRC2MD bitmap can express).
+    /// than the entry table, more MDs than the SRC2MD bitmap can express,
+    /// more SIDs than 16 bits can name, tables above
+    /// [`SiopmpConfig::MAX_TABLE_SLOTS`]).
     pub fn validate(&self) -> Result<()> {
         if self.num_sids < 2 {
             return Err(SiopmpError::InvalidConfig(
                 "need at least one hot SID and the cold mount SID",
+            ));
+        }
+        if self.num_sids > Self::MAX_SIDS {
+            return Err(SiopmpError::InvalidConfig(
+                "a SID is 16 bits wide, so at most 65536 SIDs",
             ));
         }
         if self.num_mds < 2 {
@@ -130,6 +150,13 @@ impl SiopmpConfig {
         }
         if self.num_entries == 0 {
             return Err(SiopmpError::InvalidConfig("entry table cannot be empty"));
+        }
+        if self.num_entries > Self::MAX_TABLE_SLOTS
+            || self.decision_cache_slots > Self::MAX_TABLE_SLOTS
+        {
+            return Err(SiopmpError::InvalidConfig(
+                "the entry table and the decision cache hold at most 1 << 20 slots each",
+            ));
         }
         if self.cold_md_entries == 0 || self.cold_md_entries >= self.num_entries {
             return Err(SiopmpError::InvalidConfig(
@@ -242,6 +269,28 @@ mod tests {
         };
         cfg.validate()
             .expect("cache-free reference config is valid");
+    }
+
+    #[test]
+    fn sizes_beyond_the_sid_space_or_the_table_cap_are_rejected() {
+        let max = SiopmpConfig::MAX_TABLE_SLOTS;
+        // `sids=70000` used to truncate the cold SID to SourceId(4463), and
+        // `cache=0xffffffffffffffff` to panic in `next_power_of_two`.
+        for (num_sids, num_entries, decision_cache_slots, valid) in [
+            (70_000, 1024, 1024, false),
+            (SiopmpConfig::MAX_SIDS, 1024, 1024, true),
+            (64, max + 1, 1024, false),
+            (64, 1024, usize::MAX, false),
+            (64, max, max, true),
+        ] {
+            let cfg = SiopmpConfig {
+                num_sids,
+                num_entries,
+                decision_cache_slots,
+                ..SiopmpConfig::default()
+            };
+            assert_eq!(cfg.validate().is_ok(), valid, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * every configuration mutator on [`crate::Siopmp`] rebuilds an
 //!   immutable [`CheckerSnapshot`] (routing tables, SRC2MD/MDCFG/entry
-//!   clones, per-SID compiled views, page-granular decision slots, the
-//!   table epoch) and **publishes** it with a single pointer swap;
+//!   clones, per-SID compiled views, page-granular decision slots) and
+//!   **publishes** it with a single pointer swap;
 //! * readers — the owner's `&mut self` check path, and any number of
 //!   [`SharedSiopmp`] handles on other threads — resolve requests against
 //!   whichever snapshot was current when they started. A reader therefore
@@ -46,20 +46,21 @@
 //! # The shared decision cache
 //!
 //! Each snapshot carries its own direct-mapped page-verdict table, so
-//! publishing a snapshot *is* the epoch invalidation: a fresh snapshot
-//! starts with every slot empty. Because many threads fill the same
-//! slots, each slot is a miniature **seqlock**: writers claim the slot by
-//! bumping its version to odd (losers simply drop their fill — a benign
-//! lost insert), store the payload, then release an even version; readers
-//! re-check the version after reading and treat any interference as a
-//! miss. Verdicts are never *wrong*, only occasionally *absent*, and a
+//! publishing a snapshot *is* the cache invalidation: a fresh snapshot
+//! starts with every slot empty, and the generation is the one publish
+//! counter. Because many threads fill the same slots, each slot is a
+//! miniature **seqlock**: writers claim the slot by bumping its version
+//! to odd (losers simply drop their fill — a benign lost insert), store
+//! the payload, then release an even version; readers re-check the
+//! version after reading and treat any interference as a miss.
+//! Verdicts are never *wrong*, only occasionally *absent*, and a
 //! miss just replays the compiled-view walk that produced the verdict in
 //! the first place.
 //!
 //! Per-SID compiled views are built lazily behind [`OnceLock`] on first
 //! use per snapshot, preserving the `siopmp.cache.view_rebuilds`
 //! accounting of the single-threaded path (one rebuild per SID per
-//! epoch, paid by the first check that needs it).
+//! publish, paid by the first check that needs it).
 
 use crate::atomic::SidBlockBitmap;
 use crate::cache::{self, PAGE_SHIFT};
@@ -145,20 +146,27 @@ impl Deref for ViolationLog<'_> {
 pub(crate) struct CheckEffects {
     pub(crate) counters: CoreCounters,
     pub(crate) events: EventRing,
-    pub(crate) violations: Mutex<ViolationSink>,
+    violations: SinkLine,
 }
+
+/// The violation log on a cache line of its own. Every denying thread
+/// writes it, and every check reads the counter handles beside it, so a
+/// shared line would make each deny stall the other threads' checks.
+#[derive(Debug)]
+#[repr(align(64))]
+struct SinkLine(Mutex<ViolationSink>);
 
 impl CheckEffects {
     pub(crate) fn new(counters: CoreCounters, events: EventRing, sink: ViolationSink) -> Self {
         CheckEffects {
             counters,
             events,
-            violations: Mutex::new(sink),
+            violations: SinkLine(Mutex::new(sink)),
         }
     }
 
     pub(crate) fn violations(&self) -> MutexGuard<'_, ViolationSink> {
-        self.violations.lock().unwrap_or_else(|e| e.into_inner())
+        self.violations.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn deny(&self, req: &DmaRequest, sid: Option<SourceId>, decision: Decision) -> CheckOutcome {
@@ -273,7 +281,6 @@ impl SeqlockSlot {
 /// Borrowed views of the unit's master state, bundled for
 /// [`CheckerSnapshot::capture`].
 pub(crate) struct SnapshotSources<'a> {
-    pub epoch: u64,
     pub config: &'a SiopmpConfig,
     pub cam: &'a DeviceId2SidCam,
     pub esid: &'a EsidRegister,
@@ -286,14 +293,12 @@ pub(crate) struct SnapshotSources<'a> {
 
 /// One immutable, internally-consistent copy of everything the check path
 /// reads: routing state, protection tables, compiled views and the
-/// page-granular decision slots, all tagged with the table epoch they
-/// were captured at. Shared freely across threads; the only interior
-/// mutability is monotone (lazy view compilation, seqlock verdict fills),
-/// so two checks of the same request against the same snapshot always
-/// agree.
+/// page-granular decision slots. Shared freely across threads; the only
+/// interior mutability is monotone (lazy view compilation, seqlock verdict
+/// fills), so two checks of the same request against the same snapshot
+/// always agree.
 #[derive(Debug)]
 pub struct CheckerSnapshot {
-    epoch: u64,
     checker: CheckerKind,
     cold_sid: SourceId,
     hot: HashMap<DeviceId, SourceId>,
@@ -319,7 +324,6 @@ impl CheckerSnapshot {
         };
         let views = if slots == 0 { 0 } else { src.config.num_sids };
         CheckerSnapshot {
-            epoch: src.epoch,
             checker: src.config.checker,
             cold_sid: src.config.cold_sid(),
             hot: src.cam.iter().map(|(sid, dev, _)| (dev, sid)).collect(),
@@ -333,12 +337,6 @@ impl CheckerSnapshot {
             slots: (0..slots).map(|_| SeqlockSlot::new()).collect(),
             mask: (slots as u64).wrapping_sub(1),
         }
-    }
-
-    /// The table epoch this snapshot was captured at (see
-    /// [`crate::Siopmp::cache_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     fn cache_enabled(&self) -> bool {
@@ -455,7 +453,7 @@ impl CheckerSnapshot {
         }
 
         // Slow path: walk this SID's compiled view, building it on first
-        // use for this snapshot (== once per SID per table epoch).
+        // use for this snapshot (== once per SID per publish).
         let view = self.views[sid.0 as usize].get_or_init(|| {
             effects.counters.cache_view_rebuilds.inc();
             let mut buf: Vec<(EntryIndex, IopmpEntry)> = Vec::new();
@@ -506,17 +504,35 @@ impl CheckerSnapshot {
         }
     }
 
-    /// Batched checks against this one snapshot: identical outcomes and
-    /// counters to a per-request loop, with each distinct device routed
-    /// once.
-    fn check_batch(&self, reqs: &[DmaRequest], effects: &CheckEffects) -> Vec<CheckOutcome> {
+    /// Batched checks against this one snapshot, the one route-memo loop
+    /// behind every `check_batch`: identical outcomes and counters to a
+    /// per-request loop, with each distinct device routed through
+    /// `resolve` only once. The owner passes a router that trains the
+    /// CAM's reference bits; shared and pinned handles pass the snapshot's
+    /// pure [`CheckerSnapshot::route`].
+    ///
+    /// The memo deliberately stops at the *routing* stage (CAM / eSID /
+    /// extended table): nothing on the check path mutates those
+    /// structures, and the only side effect of a repeated CAM lookup is
+    /// re-setting an already-set reference bit, so a route resolved at the
+    /// first beat is valid for the whole batch. Decisions themselves are
+    /// **not** memoised across beats: the decision cache is direct-mapped,
+    /// so a fill for one page can evict another mid-batch, and a
+    /// batch-level decision memo would diverge from the per-beat engine's
+    /// hit/miss counters the moment that happens.
+    pub(crate) fn check_batch(
+        &self,
+        reqs: &[DmaRequest],
+        effects: &CheckEffects,
+        mut resolve: impl FnMut(DeviceId) -> DeviceRoute,
+    ) -> Vec<CheckOutcome> {
         let mut routes: Vec<(DeviceId, DeviceRoute)> = Vec::new();
         reqs.iter()
             .map(|req| {
                 let route = match routes.iter().find(|(d, _)| *d == req.device()) {
                     Some(&(_, route)) => route,
                     None => {
-                        let route = self.route(req.device());
+                        let route = resolve(req.device());
                         routes.push((req.device(), route));
                         route
                     }
@@ -678,9 +694,8 @@ impl SharedSiopmp {
     /// Checks a batch against one pinned snapshot (each distinct device
     /// routed once), so a publish cannot land mid-batch.
     pub fn check_batch(&self, reqs: &[DmaRequest]) -> Vec<CheckOutcome> {
-        self.state
-            .snapshot()
-            .check_batch(reqs, self.state.effects())
+        let snapshot = self.state.snapshot();
+        snapshot.check_batch(reqs, self.state.effects(), |device| snapshot.route(device))
     }
 
     /// Pins the current snapshot for repeated checks.
@@ -693,14 +708,9 @@ impl SharedSiopmp {
         }
     }
 
-    /// The table epoch of the currently published snapshot.
-    pub fn cache_epoch(&self) -> u64 {
-        self.state.snapshot().epoch()
-    }
-
-    /// Monotone publish counter: bumps on *every* mutator call (even ones
-    /// that leave the epoch alone), so two equal readings bracket an
-    /// interval with no configuration activity at all.
+    /// Monotone publish counter: bumps on every mutator call that
+    /// publishes, so two equal readings bracket an interval with no
+    /// configuration activity at all (see [`crate::Siopmp::generation`]).
     pub fn generation(&self) -> u64 {
         self.state.generation()
     }
@@ -721,7 +731,7 @@ impl SharedSiopmp {
 /// publishes since. This models a hardware master whose request entered
 /// the check pipeline before a register rewrite landed — and is the
 /// device the regression test for "a snapshot held across a cold switch
-/// still answers from the old epoch" drives.
+/// still answers from the old configuration" drives.
 #[derive(Debug, Clone)]
 pub struct PinnedChecker {
     snapshot: Arc<CheckerSnapshot>,
@@ -739,12 +749,10 @@ impl PinnedChecker {
 
     /// Batch counterpart of [`PinnedChecker::check`].
     pub fn check_batch(&self, reqs: &[DmaRequest]) -> Vec<CheckOutcome> {
-        self.snapshot.check_batch(reqs, self.state.effects())
-    }
-
-    /// The pinned snapshot's table epoch (constant for the pin's life).
-    pub fn cache_epoch(&self) -> u64 {
-        self.snapshot.epoch()
+        self.snapshot
+            .check_batch(reqs, self.state.effects(), |device| {
+                self.snapshot.route(device)
+            })
     }
 
     /// The publish generation this pin was taken at (constant for the

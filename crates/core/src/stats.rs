@@ -38,9 +38,8 @@ pub struct SiopmpStats {
     pub cache_hits: u64,
     /// Cache-eligible checks that had to walk the compiled view.
     pub cache_misses: u64,
-    /// Epoch bumps (each invalidates every view and cached verdict).
-    pub cache_invalidations: u64,
-    /// Compiled per-SID views (re)built after an epoch bump.
+    /// Compiled per-SID views (re)built, once per SID per published
+    /// snapshot.
     pub cache_view_rebuilds: u64,
     /// Violation records dropped because the bounded log was full.
     pub violation_log_dropped: u64,
@@ -96,8 +95,6 @@ pub struct CoreCounters {
     pub cache_hits: Counter,
     /// `siopmp.cache.misses`
     pub cache_misses: Counter,
-    /// `siopmp.cache.invalidations`
-    pub cache_invalidations: Counter,
     /// `siopmp.cache.view_rebuilds`
     pub cache_view_rebuilds: Counter,
     /// `siopmp.violation_log_dropped`
@@ -120,7 +117,6 @@ impl CoreCounters {
             violations: t.counter("siopmp.violations"),
             cache_hits: t.counter("siopmp.cache.hits"),
             cache_misses: t.counter("siopmp.cache.misses"),
-            cache_invalidations: t.counter("siopmp.cache.invalidations"),
             cache_view_rebuilds: t.counter("siopmp.cache.view_rebuilds"),
             violation_log_dropped: t.counter("siopmp.violation_log_dropped"),
         }
@@ -141,7 +137,6 @@ impl CoreCounters {
             violations: self.violations.get(),
             cache_hits: self.cache_hits.get(),
             cache_misses: self.cache_misses.get(),
-            cache_invalidations: self.cache_invalidations.get(),
             cache_view_rebuilds: self.cache_view_rebuilds.get(),
             violation_log_dropped: self.violation_log_dropped.get(),
         }
@@ -173,13 +168,11 @@ mod tests {
         let c = CoreCounters::attach(&t);
         c.cache_hits.add(3);
         c.cache_misses.inc();
-        c.cache_invalidations.add(2);
         c.cache_view_rebuilds.inc();
         c.violation_log_dropped.add(5);
         let s = c.snapshot();
         assert_eq!(s.cache_hits, 3);
         assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_invalidations, 2);
         assert_eq!(s.cache_view_rebuilds, 1);
         assert_eq!(s.violation_log_dropped, 5);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);

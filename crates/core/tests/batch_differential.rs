@@ -136,7 +136,7 @@ fn check_batch_agrees_with_per_beat_check() {
                 mutate(&mut Gen::new(seed), &mut batched, b_sid1, b_sid2);
                 mutate(&mut Gen::new(seed), &mut serial, s_sid1, s_sid2);
             }
-            check_eq!(batched.cache_epoch(), serial.cache_epoch());
+            check_eq!(batched.generation(), serial.generation());
         }
         check_eq!(batched.stats(), serial.stats());
         let vl_b: Vec<_> = batched.violation_log().iter().copied().collect();
@@ -162,7 +162,7 @@ fn batches_straddling_an_epoch_bump_agree() {
         .map(|i| DmaRequest::new(DeviceId(1), AccessKind::Read, 0x1000 + 64 * i, 64))
         .collect();
 
-    let epoch_before = batched.cache_epoch();
+    let epoch_before = batched.generation();
     let got = batched.check_batch(&batch);
     let want: Vec<_> = batch.iter().map(|r| serial.check(r)).collect();
     assert_eq!(got, want);
@@ -174,7 +174,7 @@ fn batches_straddling_an_epoch_bump_agree() {
         )
         .unwrap();
     }
-    assert!(batched.cache_epoch() > epoch_before, "mutator bumps epoch");
+    assert!(batched.generation() > epoch_before, "mutator bumps epoch");
 
     let got = batched.check_batch(&batch);
     let want: Vec<_> = batch.iter().map(|r| serial.check(r)).collect();

@@ -272,7 +272,7 @@ fn shared_handle_matches_owner_path() {
         let vb: Vec<_> = shared_unit.violation_log().iter().copied().collect();
         check_eq!(va, vb, "violation logs diverged");
         check_eq!(owned.stats(), shared_unit.stats());
-        check_eq!(owned.cache_epoch(), shared_unit.cache_epoch());
+        check_eq!(owned.generation(), shared_unit.generation());
         Ok(())
     });
     let total = interleavings.load(Ordering::Relaxed);

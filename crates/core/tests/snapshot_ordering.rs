@@ -131,7 +131,7 @@ fn pinned_snapshot_survives_a_cold_switch() {
 
     let shared = unit.share();
     let pinned = shared.pin();
-    let epoch_before = pinned.cache_epoch();
+    let epoch_before = pinned.generation();
     let probe_old = DmaRequest::new(DeviceId(10), AccessKind::Read, 0x2_0100, 8);
     let probe_new = DmaRequest::new(DeviceId(11), AccessKind::Read, 0x3_0100, 8);
     assert!(allowed(&pinned.check(&probe_old)));
@@ -141,7 +141,7 @@ fn pinned_snapshot_survives_a_cold_switch() {
     unit.handle_sid_missing(DeviceId(11)).unwrap();
 
     // The pinned snapshot still answers from the pre-switch epoch…
-    assert_eq!(pinned.cache_epoch(), epoch_before);
+    assert_eq!(pinned.generation(), epoch_before);
     assert!(
         allowed(&pinned.check(&probe_old)),
         "pin lost the old tenant"
@@ -152,7 +152,7 @@ fn pinned_snapshot_survives_a_cold_switch() {
     );
 
     // …while the live handle and the owner moved on.
-    assert!(shared.cache_epoch() > epoch_before);
+    assert!(shared.generation() > epoch_before);
     assert!(!allowed(&shared.check(&probe_old)));
     assert!(allowed(&shared.check(&probe_new)));
     assert_eq!(unit.mounted_cold_device(), Some(DeviceId(11)));

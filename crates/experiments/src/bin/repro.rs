@@ -10,11 +10,10 @@
 //! repro --threads 4  # worker threads for the parallel section
 //! ```
 //!
-//! The command line goes through the workspace's unified grammar
-//! ([`siopmp_scenario::cli::Spec`]), so `--json`, `--list`, `--threads`
-//! and `--out` spell the same here as in `siopmp-scenario` and
-//! `siopmp-verify`. The historical `-l` spelling of
-//! `--list` still works but warns.
+//! The command line goes through the workspace's one flag grammar
+//! ([`siopmp::cli::Spec`]), so `--json`, `--list`, `--threads` and
+//! `--out` spell the same here as in `siopmp-scenario` and
+//! `siopmp-verify`.
 //!
 //! With `--json`, the selected experiments' outputs are wrapped in the
 //! workspace JSON envelope (`siopmp::json::envelope` — `schema_version`,
@@ -31,16 +30,15 @@
 //! guarantee the output is byte-identical for every `N`. `--out PATH`
 //! additionally writes the JSON document to a file.
 
+use siopmp::cli::Spec;
 use siopmp::json::{envelope, Json};
-use siopmp_scenario::cli::Spec;
 use std::process::ExitCode;
 
 const SPEC: Spec = Spec {
     tool: "repro",
     usage: "usage: repro [--list] [--json] [--threads N] [--out PATH] [experiment ...]",
-    flags: &[],
-    options: &[],
-    deprecated: &[("-l", "--list")],
+    flags: &["--list", "--json"],
+    options: &["--seed", "--threads", "--out"],
 };
 
 fn main() -> ExitCode {
@@ -51,9 +49,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for w in &args.warnings {
-        eprintln!("{w}");
-    }
     if args.help {
         println!("{}", SPEC.usage);
         println!("experiments: {}", siopmp_experiments::ALL.join(" "));

@@ -30,9 +30,15 @@ const USAGE: &str = "usage: siopmp-prove [--profile smoke|full] [--max-depth N] 
 const SPEC: Spec = Spec {
     tool: "siopmp-prove",
     usage: USAGE,
-    flags: &["--skip-mutations"],
-    options: &["--profile", "--max-depth", "--max-states"],
-    deprecated: &[],
+    flags: &["--json", "--skip-mutations"],
+    options: &[
+        "--seed",
+        "--threads",
+        "--out",
+        "--profile",
+        "--max-depth",
+        "--max-states",
+    ],
 };
 
 fn parse_bound(args: &siopmp::cli::Args, name: &str, default: usize) -> Result<usize, String> {
@@ -48,9 +54,6 @@ fn parse_bound(args: &siopmp::cli::Args, name: &str, default: usize) -> Result<u
 
 fn run() -> Result<bool, String> {
     let args = SPEC.parse(std::env::args().skip(1))?;
-    for w in &args.warnings {
-        eprintln!("{w}");
-    }
     if args.help {
         println!("{USAGE}");
         return Ok(true);

@@ -1,5 +1,6 @@
 //! End-to-end checks of the `siopmp-prove` binary: exit codes, JSON
-//! envelope shape, and bound overrides.
+//! envelope shape, bound overrides, and refusal of the flags it does not
+//! read.
 
 use std::process::Command;
 
@@ -69,4 +70,13 @@ fn unknown_profile_fails_with_usage() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("smoke|full"), "{err}");
+}
+
+#[test]
+fn list_is_refused_with_usage() {
+    let out = prove().arg("--list").output().expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag `--list`"), "{err}");
+    assert!(err.contains("usage: siopmp-prove"), "{err}");
 }

@@ -53,6 +53,11 @@
 //! | `run k=v ...` | `max_cycles epoch threads` |
 //! | `expect completed \| lint clean \| <metric> <op> <value>` | an invariant the run must satisfy |
 //!
+//! Numbers are bounded where they size work: a `device` range spans at
+//! most [`parse::MAX_DEVICE_RANGE`] IDs, a traffic `count` is at most
+//! [`parse::MAX_BURSTS`], a stream's last burst address must fit in 64
+//! bits, and `config` sizes must pass [`siopmp::SiopmpConfig::validate`].
+//!
 //! The canonical form (what [`render()`] prints) spells every `config` /
 //! `bus` / `run` key explicitly; `parse(render(s)) == s` for every valid
 //! scenario, pinned by the round-trip property test.
@@ -78,13 +83,12 @@
 //! ```
 //!
 //! The `siopmp-scenario` binary exposes the same pipeline as
-//! `run | lint | bench | prove | list` subcommands with the workspace's
-//! unified flag grammar ([`cli`]); the committed corpus under `corpus/`
-//! is the library of shipped topologies. `prove` lowers each domain
-//! into the bounded model checker ([`prove`]).
+//! `run | lint | prove | explore | list` subcommands with the workspace's
+//! one flag grammar ([`siopmp::cli`]); the committed corpus under
+//! `corpus/` is the library of shipped topologies. `prove` lowers each
+//! domain into the bounded model checker ([`prove`]).
 
 pub mod ast;
-pub mod cli;
 pub mod compile;
 pub mod explore;
 pub mod parse;

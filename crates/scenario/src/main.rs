@@ -1,9 +1,9 @@
-//! `siopmp-scenario` — run, lint, bench and list `.scn` scenario files.
+//! `siopmp-scenario` — run, lint, prove, explore and list `.scn` scenario
+//! files.
 //!
 //! ```text
 //! siopmp-scenario run   FILE...  [--json] [--seed N] [--threads N] [--out PATH]
 //! siopmp-scenario lint  FILE...  [--json] [--out PATH]
-//! siopmp-scenario bench FILE...  [--json] [--seed N] [--threads N] [--out DIR] [--baseline FILE]
 //! siopmp-scenario prove FILE...  [--json] [--out PATH] [--max-depth N] [--max-states N]
 //! siopmp-scenario explore [FILE...] [--json] [--threads N] [--out PATH]
 //! siopmp-scenario list  [PATH...]  [--json]
@@ -13,14 +13,12 @@
 //!   judges its `expect` lines; any failed expectation fails the exit
 //!   code.
 //! * `lint` compiles each domain's sIOPMP unit and runs the static
-//!   analyzer; any Error-severity diagnostic fails the exit code.
+//!   analyzer; any Error-severity diagnostic fails the exit code. It is
+//!   the workspace's one `.scn` linter.
 //! * `prove` lowers each domain into the bounded model checker
 //!   (`siopmp-prove`) and exhaustively explores every mutator sequence
 //!   from the compiled state up to the bound; any isolation, soundness
 //!   or atomicity violation fails the exit code.
-//! * `bench` runs each scenario and reports the host-independent cost
-//!   metric (simulated cycles per completed burst) plus wall time;
-//!   `--baseline FILE` guards `<name> <cycles_per_burst>` pairs at ±15%.
 //! * `explore` sweeps the hardware design space declared by each file's
 //!   `explore` stanza (no files = the built-in smoke sweep) over the
 //!   calibrated timing/area model and prints the Pareto frontier; an
@@ -30,29 +28,31 @@
 //!
 //! JSON output (stdout with `--json`, file with `--out`) is wrapped in
 //! the workspace envelope `{schema_version, scenario, seed, threads,
-//! payload}` shared with `repro --json` and `siopmp-verify`.
+//! payload}` shared with `repro --json` and `siopmp-verify`. The flags
+//! follow the workspace's one grammar ([`siopmp::cli::Spec`]).
 
+use siopmp::cli::{Args, Spec};
 use siopmp::json::{envelope, Json};
 use siopmp_prove::{explore, Bounds};
-use siopmp_scenario::cli::Spec;
 use siopmp_scenario::{lint, parse, render, run, RunOptions, Scenario};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: siopmp-scenario <run|lint|bench|prove|explore|list> [FILE ...] \
-[--json] [--seed N] [--threads N] [--out PATH] [--baseline FILE] \
-[--max-depth N] [--max-states N]";
+const USAGE: &str = "usage: siopmp-scenario <run|lint|prove|explore|list> [FILE ...] \
+[--json] [--seed N] [--threads N] [--out PATH] [--max-depth N] [--max-states N] [--render]";
 
 const SPEC: Spec = Spec {
     tool: "siopmp-scenario",
     usage: USAGE,
-    flags: &["--render"],
-    options: &["--max-depth", "--max-states"],
-    deprecated: &[],
+    flags: &["--json", "--render"],
+    options: &[
+        "--seed",
+        "--threads",
+        "--out",
+        "--max-depth",
+        "--max-states",
+    ],
 };
-
-/// Fractional tolerance of the bench `--baseline` guard, each side.
-const BASELINE_TOLERANCE: f64 = 0.15;
 
 fn load(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path)
@@ -166,128 +166,6 @@ fn cmd_lint(files: &[PathBuf], json: bool, out: Option<&Path>) -> Result<bool, S
     Ok(clean)
 }
 
-struct BenchRow {
-    name: String,
-    cycles: u64,
-    completed_bursts: u64,
-    wall_ns: u128,
-    passed: bool,
-}
-
-impl BenchRow {
-    fn cycles_per_burst(&self) -> Option<f64> {
-        (self.completed_bursts > 0).then(|| self.cycles as f64 / self.completed_bursts as f64)
-    }
-}
-
-fn cmd_bench(
-    files: &[PathBuf],
-    opts: RunOptions,
-    json: bool,
-    out: Option<&Path>,
-    baseline: Option<&Path>,
-) -> Result<bool, String> {
-    if let Some(dir) = out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let mut rows = Vec::new();
-    for path in files {
-        let scenario = load(path)?;
-        // One warmup, then the timed run — the cost metric (simulated
-        // cycles per burst) is deterministic, only wall time varies.
-        let _ = run(&scenario, &opts).map_err(|e| format!("{}: {e}", path.display()))?;
-        let started = std::time::Instant::now();
-        let outcome = run(&scenario, &opts).map_err(|e| format!("{}: {e}", path.display()))?;
-        let wall_ns = started.elapsed().as_nanos();
-        let row = BenchRow {
-            name: outcome.scenario.clone(),
-            cycles: outcome.report.cycles,
-            completed_bursts: outcome
-                .report
-                .masters
-                .iter()
-                .map(|m| m.bursts_completed as u64)
-                .sum(),
-            wall_ns,
-            passed: outcome.passed(),
-        };
-        let payload = Json::object([
-            ("cycles", Json::u64(row.cycles)),
-            ("completed_bursts", Json::u64(row.completed_bursts)),
-            (
-                "cycles_per_burst",
-                Json::f64(row.cycles_per_burst().unwrap_or(0.0)),
-            ),
-            ("wall_ns", Json::u64(row.wall_ns as u64)),
-            ("passed", Json::u64(row.passed as u64)),
-        ]);
-        let doc = envelope(&row.name, outcome.seed, outcome.threads, payload);
-        if json {
-            println!("{}", doc.pretty());
-        } else {
-            println!(
-                "{:<28} {:>10} cycles  {:>8} bursts  {:>8.1} cyc/burst  {:>10} ns",
-                row.name,
-                row.cycles,
-                row.completed_bursts,
-                row.cycles_per_burst().unwrap_or(0.0),
-                row.wall_ns,
-            );
-        }
-        if let Some(dir) = out {
-            let file = dir.join(format!("SCN_{}.json", row.name));
-            std::fs::write(&file, format!("{}\n", doc.pretty()))
-                .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-        }
-        rows.push(row);
-    }
-    let mut ok = rows.iter().all(|r| r.passed);
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-        for (n, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let name = parts.next().expect("non-empty line");
-            let base: f64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|b: &f64| b.is_finite() && *b > 0.0)
-                .ok_or(format!(
-                    "baseline line {}: expected `<scenario> <cycles_per_burst>`",
-                    n + 1
-                ))?;
-            let Some(row) = rows.iter().find(|r| r.name == name) else {
-                println!("baseline: {name} not run, skipping");
-                continue;
-            };
-            match row.cycles_per_burst() {
-                Some(got) if got > base * (1.0 + BASELINE_TOLERANCE) => {
-                    eprintln!(
-                        "baseline: {name} regressed — {got:.1} cyc/burst vs baseline {base:.1}"
-                    );
-                    ok = false;
-                }
-                Some(got) if got < base * (1.0 - BASELINE_TOLERANCE) => {
-                    println!(
-                        "baseline: {name} improved — {got:.1} cyc/burst vs {base:.1}; consider refreshing"
-                    );
-                }
-                Some(_) => {}
-                None => {
-                    eprintln!("baseline: {name} completed no bursts");
-                    ok = false;
-                }
-            }
-        }
-    }
-    Ok(ok)
-}
-
 /// Default bounds of `siopmp-scenario prove` — scenario-lowered models
 /// carry full-size configurations (8 SIDs, 32 entries), so the default
 /// stays shallower than the `siopmp-prove` micro-model profiles while
@@ -297,11 +175,7 @@ const PROVE_DEFAULT: Bounds = Bounds {
     max_states: 4_000,
 };
 
-fn prove_bound(
-    args: &siopmp_scenario::cli::Args,
-    flag: &str,
-    default: usize,
-) -> Result<usize, String> {
+fn prove_bound(args: &Args, flag: &str, default: usize) -> Result<usize, String> {
     match args.option(flag) {
         None => Ok(default),
         Some(v) => v
@@ -314,7 +188,7 @@ fn prove_bound(
 
 fn cmd_prove(
     files: &[PathBuf],
-    args: &siopmp_scenario::cli::Args,
+    args: &Args,
     json: bool,
     out: Option<&Path>,
 ) -> Result<bool, String> {
@@ -485,9 +359,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for w in &parsed.warnings {
-        eprintln!("{w}");
-    }
     if parsed.help || command == "help" || command == "--help" || command == "-h" {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
@@ -498,19 +369,12 @@ fn main() -> ExitCode {
         threads: parsed.threads,
     };
     let result = match command.as_str() {
-        "run" | "lint" | "bench" | "prove" if files.is_empty() => {
+        "run" | "lint" | "prove" if files.is_empty() => {
             Err(format!("`{command}` needs at least one .scn file\n{USAGE}"))
         }
         "run" => cmd_run(&files, opts, parsed.json, parsed.out.as_deref()),
         "lint" => cmd_lint(&files, parsed.json, parsed.out.as_deref()),
         "prove" => cmd_prove(&files, &parsed, parsed.json, parsed.out.as_deref()),
-        "bench" => cmd_bench(
-            &files,
-            opts,
-            parsed.json,
-            parsed.out.as_deref(),
-            parsed.baseline.as_deref(),
-        ),
         "explore" => cmd_explore(&files, parsed.threads, parsed.json, parsed.out.as_deref()),
         "list" => {
             let paths = if files.is_empty() {

@@ -13,6 +13,18 @@
 //! snapshot tests).
 
 use crate::ast::*;
+use siopmp::SiopmpConfig;
+
+/// Widest `device <first>..<end>` range: the 16-bit SID space
+/// ([`SiopmpConfig::MAX_SIDS`]). Every ID in a range is registered one by
+/// one, so an unbounded span would wedge `lint`, `run` and a daemon
+/// loading its fleet.
+pub const MAX_DEVICE_RANGE: u64 = SiopmpConfig::MAX_SIDS as u64;
+
+/// Largest `count=` of one `master` or `then` traffic segment. Programs
+/// are materialised burst by burst (24 bytes each), so the cap bounds a
+/// segment at 24 MiB; the corpus uses at most 64.
+pub const MAX_BURSTS: u64 = 1 << 20;
 
 /// A parse failure: the offending 1-based line and what went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,7 +165,7 @@ fn traffic(
             }
             Some(("base", v)) => base = Some(num_or::<u64>(line, "base", v)?),
             Some(("stride", v)) => stride = Some(num_or::<u64>(line, "stride", v)?),
-            Some(("count", v)) => count = Some(num_or::<u64>(line, "count", v)? as usize),
+            Some(("count", v)) => count = Some(num_or::<u64>(line, "count", v)?),
             _ => rest.push(tok.to_string()),
         }
     }
@@ -176,12 +188,30 @@ fn traffic(
     if count == 0 {
         return err(line, format!("`{directive}` count must be at least 1"));
     }
+    if count > MAX_BURSTS {
+        return err(
+            line,
+            format!("`{directive}` count {count} is above the cap of {MAX_BURSTS} bursts"),
+        );
+    }
     let mode = match (mode, stride) {
         ("uniform", None) => Mode::Uniform,
         ("uniform", Some(_)) => {
             return err(line, "`stride` only applies to mode=stream");
         }
-        ("stream", Some(stride)) => Mode::Stream { stride },
+        ("stream", Some(stride)) => {
+            if stride
+                .checked_mul(count - 1)
+                .and_then(|span| base.checked_add(span))
+                .is_none()
+            {
+                return err(
+                    line,
+                    format!("`{directive}` stream's last burst address overflows 64 bits"),
+                );
+            }
+            Mode::Stream { stride }
+        }
         ("stream", None) => {
             return err(
                 line,
@@ -195,7 +225,7 @@ fn traffic(
             kind,
             mode,
             base,
-            count,
+            count: count as usize,
         },
         rest,
     ))
@@ -529,6 +559,24 @@ pub fn parse(text: &str) -> Result<Scenario, ScnError> {
                         1,
                     ),
                 };
+                if count > MAX_DEVICE_RANGE {
+                    return err(
+                        line,
+                        format!(
+                            "device range `{range}` spans {count} IDs, more than the \
+                             {MAX_DEVICE_RANGE} a 16-bit SID space names"
+                        ),
+                    );
+                }
+                if first.checked_add(count).is_none() {
+                    return err(
+                        line,
+                        format!(
+                            "device ID `{range}` is out of range: IDs end below {:#x}",
+                            u64::MAX
+                        ),
+                    );
+                }
                 let (temp, options) = match rest {
                     ["hot", options @ ..] => (true, options),
                     ["cold", options @ ..] => (false, options),
@@ -899,5 +947,18 @@ mod tests {
         let s = parse("scenario t\ndomain d\n  device 100..1100 cold\n").unwrap();
         let d = &s.domains[0].devices[0];
         assert_eq!((d.first, d.count), (100, 1000));
+    }
+
+    #[test]
+    fn numbers_at_their_caps_still_parse() {
+        let s = parse(
+            "scenario t\ndomain d\n  device 1..65537 cold\n  device 0xffff_ffff_ffff_fffe hot\n  \
+             master device=1 kind=read mode=stream base=0xffff_ffff_ff00_0000 stride=0x10 count=0x10_0000\n",
+        )
+        .unwrap();
+        let d = &s.domains[0];
+        assert_eq!(d.devices[0].count, MAX_DEVICE_RANGE);
+        assert_eq!(d.devices[1].first, u64::MAX - 1);
+        assert_eq!(d.masters[0].programs[0].count as u64, MAX_BURSTS);
     }
 }

@@ -230,3 +230,42 @@ fn comments_do_not_shift_line_numbers() {
         "line 5: unknown directive `bogus`"
     );
 }
+
+#[test]
+fn device_range_wider_than_the_sid_space() {
+    assert_eq!(
+        error_of("scenario t\ndomain d\n  device 2..0xffff_ffff_ffff_ffff cold\n"),
+        "line 3: device range `2..0xffff_ffff_ffff_ffff` spans 18446744073709551613 IDs, \
+         more than the 65536 a 16-bit SID space names"
+    );
+}
+
+#[test]
+fn device_id_without_a_successor() {
+    assert_eq!(
+        error_of("scenario t\ndomain d\n  device 0xffff_ffff_ffff_ffff hot\n"),
+        "line 3: device ID `0xffff_ffff_ffff_ffff` is out of range: IDs end below 0xffffffffffffffff"
+    );
+}
+
+#[test]
+fn burst_count_above_the_cap() {
+    assert_eq!(
+        error_of(
+            "scenario t\ndomain d\n  device 1 hot\n  \
+             master device=1 kind=read mode=uniform base=0x1000 count=0x10_0000_0000\n"
+        ),
+        "line 4: `master` count 68719476736 is above the cap of 1048576 bursts"
+    );
+}
+
+#[test]
+fn stream_whose_last_burst_address_overflows() {
+    assert_eq!(
+        error_of(
+            "scenario t\ndomain d\n  device 1 hot\n  \
+             master device=1 kind=read mode=stream base=0xffff_ffff_ffff_0000 stride=0x100000 count=64\n"
+        ),
+        "line 4: `master` stream's last burst address overflows 64 bits"
+    );
+}

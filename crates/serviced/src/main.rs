@@ -37,9 +37,8 @@ const USAGE: &str = "usage: siopmp-serviced <serve|drive|replay> \
 const SPEC: Spec = Spec {
     tool: "siopmp-serviced",
     usage: USAGE,
-    flags: &["--stdio", "--chaos"],
+    flags: &["--json", "--stdio", "--chaos"],
     options: &["--fleet", "--journal", "--socket"],
-    deprecated: &[],
 };
 
 /// Drain requested by SIGTERM/SIGINT.
@@ -86,9 +85,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for w in &parsed.warnings {
-        eprintln!("{w}");
-    }
     if parsed.help || command == "help" || command == "--help" || command == "-h" {
         println!("{USAGE}");
         return ExitCode::SUCCESS;

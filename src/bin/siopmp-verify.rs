@@ -9,42 +9,36 @@
 //! findings.
 //!
 //! ```text
-//! siopmp-verify [--list] [--json] [--out PATH] [--corpus DIR] [scenario | file.scn ...]
+//! siopmp-verify [--list] [--json] [--seed N] [--out PATH] [--differential] [scenario ...]
 //! ```
 //!
-//! The command line goes through the workspace's unified grammar
-//! ([`siopmp_scenario::cli::Spec`]): `--json`, `--list` and `--out`
-//! spell the same here as in `repro` and `siopmp-scenario`.
-//!
-//! Positional arguments ending in `.scn` are parsed as declarative
-//! scenario files and linted per domain (`<stem>/<domain>` entries);
-//! `--corpus DIR` lints every `.scn` under a directory, which is how the
-//! `verify-lint` CI job covers the committed corpus. JSON output is the
-//! workspace envelope (`schema_version`, `scenario`, `seed`, `threads`,
-//! `payload`).
+//! The command line goes through the workspace's one flag grammar
+//! ([`siopmp::cli::Spec`]): `--json`, `--list` and `--out` spell the
+//! same here as in `repro` and `siopmp-scenario`. Declarative `.scn`
+//! files are linted by `siopmp-scenario lint`, the one `.scn` linter.
+//! JSON output is the workspace envelope (`schema_version`, `scenario`,
+//! `seed`, `threads`, `payload`).
 //!
 //! Exits non-zero when any scenario carries an Error-severity diagnostic
-//! or a `.scn` file fails to parse/compile — the `verify-lint` CI job
-//! gates on that, with `--out` providing the JSON artifact.
+//! or the differential sweep finds a disagreement — the `verify-lint` CI
+//! job gates on that, with `--out` providing the JSON artifact.
 
-use std::path::Path;
 use std::process::ExitCode;
 
+use siopmp::cli::Spec;
 use siopmp::ids::DeviceId;
 use siopmp::json::{envelope, Json};
 use siopmp::{Siopmp, SiopmpConfig};
 use siopmp_monitor::{MemPerms, SecureMonitor};
-use siopmp_scenario::cli::Spec;
 use siopmp_suite::soc::{DeviceSpec, SocBuilder};
 use siopmp_verify::{analyze, Report, Severity};
 
 const SPEC: Spec = Spec {
     tool: "siopmp-verify",
-    usage: "usage: siopmp-verify [--list] [--json] [--out PATH] [--corpus DIR] \
-[--differential] [scenario | file.scn ...]",
-    flags: &["--differential"],
-    options: &["--corpus"],
-    deprecated: &[],
+    usage: "usage: siopmp-verify [--list] [--json] [--seed N] [--out PATH] \
+[--differential] [scenario ...]",
+    flags: &["--list", "--json", "--differential"],
+    options: &["--seed", "--threads", "--out"],
 };
 
 struct Scenario {
@@ -159,42 +153,7 @@ fn usage() -> String {
     for sc in SCENARIOS {
         s.push_str(&format!("  {:<22} {}\n", sc.name, sc.description));
     }
-    s.push_str("\n`.scn` files (and every `.scn` under --corpus DIR) are linted per domain.\n");
     s
-}
-
-/// Lints one `.scn` file, appending a `<stem>/<domain>` entry per domain.
-/// A parse or compile failure is reported as a run failure (the CI gate
-/// must not pass a corpus that does not even assemble).
-fn lint_scn(path: &Path, rendered: &mut Vec<(String, Report)>) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let scenario = siopmp_scenario::parse(&text)
-        .map_err(|e| format!("{}: parse error: {e}", path.display()))?;
-    let lints = siopmp_scenario::lint(&scenario)
-        .map_err(|e| format!("{}: compile error: {e}", path.display()))?;
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string());
-    for lint in lints {
-        rendered.push((format!("{stem}/{}", lint.domain), lint.report));
-    }
-    Ok(())
-}
-
-/// Every `.scn` directly under `dir`, sorted by name for stable output.
-fn corpus_files(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus dir {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "scn"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no .scn files under {}", dir.display()));
-    }
-    Ok(files)
 }
 
 fn main() -> ExitCode {
@@ -205,56 +164,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for w in &args.warnings {
-        eprintln!("{w}");
-    }
     if args.help || args.list {
         print!("{}", usage());
         return ExitCode::SUCCESS;
     }
 
-    // Split positionals into built-in names and .scn paths.
-    let mut selected: Vec<&str> = Vec::new();
-    let mut scn_paths: Vec<std::path::PathBuf> = Vec::new();
     for name in &args.positional {
-        if name.ends_with(".scn") {
-            scn_paths.push(std::path::PathBuf::from(name));
-        } else if SCENARIOS.iter().any(|sc| sc.name == name) {
-            selected.push(name.as_str());
-        } else {
+        if !SCENARIOS.iter().any(|sc| sc.name == name) {
             eprintln!("unknown scenario {name}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     }
-    if let Some(dir) = args.option("--corpus") {
-        match corpus_files(Path::new(dir)) {
-            Ok(files) => scn_paths.extend(files),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // With explicit positionals, only those run; `--corpus` alone also
-    // keeps the built-ins (CI lints everything in one invocation).
-    let run_builtins = args.positional.is_empty();
-
-    let mut rendered: Vec<(String, Report)> = Vec::new();
-    let mut broken = 0usize;
-    if run_builtins || !selected.is_empty() {
-        for sc in SCENARIOS {
-            if !run_builtins && !selected.contains(&sc.name) {
-                continue;
-            }
-            rendered.push((sc.name.to_string(), (sc.build)()));
-        }
-    }
-    for path in &scn_paths {
-        if let Err(msg) = lint_scn(path, &mut rendered) {
-            eprintln!("{msg}");
-            broken += 1;
-        }
-    }
+    let rendered: Vec<(&str, Report)> = SCENARIOS
+        .iter()
+        .filter(|sc| args.positional.is_empty() || args.positional.iter().any(|n| n == sc.name))
+        .map(|sc| (sc.name, (sc.build)()))
+        .collect();
 
     let mut totals = [0usize; 3]; // info, warning, error
     for (name, report) in &rendered {
@@ -311,7 +236,6 @@ fn main() -> ExitCode {
                 ("warnings", Json::u64(totals[1] as u64)),
                 ("info", Json::u64(totals[0] as u64)),
                 ("scenarios", Json::u64(rendered.len() as u64)),
-                ("broken_files", Json::u64(broken as u64)),
             ]),
         ),
         (
@@ -324,10 +248,7 @@ fn main() -> ExitCode {
         (
             "scenarios",
             Json::array(rendered.iter().map(|(name, report)| {
-                Json::object([
-                    ("name", Json::str(name.clone())),
-                    ("report", report.to_json()),
-                ])
+                Json::object([("name", Json::str(*name)), ("report", report.to_json())])
             })),
         ),
     ]);
@@ -343,11 +264,10 @@ fn main() -> ExitCode {
     }
 
     let disagreements = differential.as_ref().map_or(0, |s| s.disagreements);
-    if totals[2] > 0 || broken > 0 || disagreements > 0 {
+    if totals[2] > 0 || disagreements > 0 {
         eprintln!(
-            "siopmp-verify: {} Error-severity finding(s), {} broken file(s), \
-             {} differential disagreement(s)",
-            totals[2], broken, disagreements
+            "siopmp-verify: {} Error-severity finding(s), {} differential disagreement(s)",
+            totals[2], disagreements
         );
         ExitCode::FAILURE
     } else {

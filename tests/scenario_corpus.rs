@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use siopmp_scenario::{lint, parse, render, run, RunOptions};
 
-fn corpus_files() -> Vec<PathBuf> {
+fn corpus_paths() -> Vec<PathBuf> {
     let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"));
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
         .expect("corpus/ directory exists")
@@ -32,7 +32,7 @@ fn load(path: &PathBuf) -> siopmp_scenario::Scenario {
 
 #[test]
 fn every_corpus_file_round_trips_through_the_canonical_form() {
-    for path in corpus_files() {
+    for path in corpus_paths() {
         let s = load(&path);
         let canon = render(&s);
         let back = parse(&canon).unwrap_or_else(|e| {
@@ -44,7 +44,7 @@ fn every_corpus_file_round_trips_through_the_canonical_form() {
 
 #[test]
 fn every_corpus_file_lints_without_compile_errors() {
-    for path in corpus_files() {
+    for path in corpus_paths() {
         let s = load(&path);
         let lints =
             lint(&s).unwrap_or_else(|e| panic!("{}: lint failed to compile: {e}", path.display()));
@@ -59,7 +59,7 @@ fn every_corpus_file_lints_without_compile_errors() {
 
 #[test]
 fn every_corpus_file_passes_its_own_expectations() {
-    for path in corpus_files() {
+    for path in corpus_paths() {
         let s = load(&path);
         let outcome = run(&s, &RunOptions::default())
             .unwrap_or_else(|e| panic!("{}: run failed: {e}", path.display()));
@@ -74,7 +74,7 @@ fn every_corpus_file_passes_its_own_expectations() {
 
 #[test]
 fn every_corpus_file_is_thread_count_invariant() {
-    for path in corpus_files() {
+    for path in corpus_paths() {
         let s = load(&path);
         let opts = |threads| RunOptions {
             threads: Some(threads),
