@@ -33,10 +33,11 @@
 //! * a monotone **generation** counter ([`SharedSiopmp::generation`]) is
 //!   bumped (release) on every publish;
 //! * each reader thread caches `(state, generation, Arc)` in TLS. A check
-//!   loads the generation (acquire); on a match the cached `Arc` is used —
-//!   one atomic load, no shared-state writes, wait-free. Only when the
-//!   generation moved (a mutation actually happened) does the reader take
-//!   the mutex for the few nanoseconds an `Arc::clone` costs.
+//!   loads the generation (acquire); on a match it borrows the cached
+//!   snapshot — one atomic load, no refcount write, no shared-state
+//!   writes, wait-free. Only when the generation moved (a mutation
+//!   actually happened) does the reader take the mutex for the few
+//!   nanoseconds an `Arc::clone` costs.
 //!
 //! Readers that cannot tolerate even that occasional re-acquire can
 //! [`SharedSiopmp::pin`] a snapshot and keep checking against it — the
@@ -182,10 +183,7 @@ impl CheckEffects {
             len: req.len(),
             kind: req.kind(),
         };
-        self.events.push(format!(
-            "deny device={} addr={:#x} len={} kind={}",
-            record.device.0, record.addr, record.len, record.kind
-        ));
+        self.events.push_deny(record);
         self.violations()
             .record(record, &self.counters.violation_log_dropped);
         CheckOutcome::Denied(record)
@@ -595,36 +593,39 @@ impl SharedState {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Acquires the current snapshot. Steady state (no publish since this
-    /// thread's last acquire) is one acquire load plus a TLS hit —
-    /// wait-free, no shared writes. Only a changed generation takes the
-    /// mutex, for the duration of an `Arc::clone`.
-    pub(crate) fn snapshot(&self) -> Arc<CheckerSnapshot> {
-        self.snapshot_with_generation().0
-    }
-
-    /// Like [`SharedState::snapshot`], but also returns the exact publish
-    /// generation the snapshot was current at — the pair is consistent
-    /// even against concurrent publishes (a TLS hit's pair was recorded
-    /// under the lock; a miss re-reads both under the lock).
-    pub(crate) fn snapshot_with_generation(&self) -> (Arc<CheckerSnapshot>, u64) {
+    /// Runs `f` on the current snapshot and the exact publish generation
+    /// it was current at. The pair is consistent even against concurrent
+    /// publishes: a TLS hit's pair was recorded under the lock, and a miss
+    /// re-reads both under the lock.
+    ///
+    /// Steady state (no publish since this thread's last call) is one
+    /// acquire load plus a TLS hit, and `f` borrows the cached snapshot:
+    /// wait-free, with no lock, no read-modify-write and no allocation.
+    /// Only a changed generation takes the mutex, to clone the new `Arc`
+    /// into the cache. `f` must not acquire a snapshot itself.
+    fn with_snapshot<R>(&self, f: impl FnOnce(&Arc<CheckerSnapshot>, u64) -> R) -> R {
         let generation = self.generation.load(Ordering::Acquire);
         SNAPSHOT_TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
-            if let Some(entry) = tls.iter_mut().find(|(id, ..)| *id == self.state_id) {
-                if entry.1 == generation {
-                    return (entry.2.clone(), generation);
+            let at = match tls.iter().position(|(id, ..)| *id == self.state_id) {
+                Some(at) => {
+                    if tls[at].1 != generation {
+                        let (snapshot, generation) = self.acquire_slow();
+                        tls[at] = (self.state_id, generation, snapshot);
+                    }
+                    at
                 }
-                let (snapshot, generation) = self.acquire_slow();
-                *entry = (self.state_id, generation, snapshot.clone());
-                return (snapshot, generation);
-            }
-            let (snapshot, generation) = self.acquire_slow();
-            if tls.len() >= TLS_CACHE_CAP {
-                tls.remove(0);
-            }
-            tls.push((self.state_id, generation, snapshot.clone()));
-            (snapshot, generation)
+                None => {
+                    if tls.len() >= TLS_CACHE_CAP {
+                        tls.remove(0);
+                    }
+                    let (snapshot, generation) = self.acquire_slow();
+                    tls.push((self.state_id, generation, snapshot));
+                    tls.len() - 1
+                }
+            };
+            let (_, generation, snapshot) = &tls[at];
+            f(snapshot, *generation)
         })
     }
 
@@ -688,19 +689,25 @@ impl SharedSiopmp {
 
     /// Presents one DMA request to the current published snapshot.
     pub fn check(&self, req: &DmaRequest) -> CheckOutcome {
-        self.state.snapshot().check(req, self.state.effects())
+        let effects = self.state.effects();
+        self.state
+            .with_snapshot(|snapshot, _| snapshot.check(req, effects))
     }
 
-    /// Checks a batch against one pinned snapshot (each distinct device
-    /// routed once), so a publish cannot land mid-batch.
+    /// Checks a batch against one snapshot (each distinct device routed
+    /// once), so a publish cannot land mid-batch.
     pub fn check_batch(&self, reqs: &[DmaRequest]) -> Vec<CheckOutcome> {
-        let snapshot = self.state.snapshot();
-        snapshot.check_batch(reqs, self.state.effects(), |device| snapshot.route(device))
+        let effects = self.state.effects();
+        self.state.with_snapshot(|snapshot, _| {
+            snapshot.check_batch(reqs, effects, |device| snapshot.route(device))
+        })
     }
 
     /// Pins the current snapshot for repeated checks.
     pub fn pin(&self) -> PinnedChecker {
-        let (snapshot, pinned_generation) = self.state.snapshot_with_generation();
+        let (snapshot, pinned_generation) = self
+            .state
+            .with_snapshot(|snapshot, generation| (snapshot.clone(), generation));
         PinnedChecker {
             snapshot,
             pinned_generation,

@@ -67,8 +67,8 @@ impl SiopmpStats {
 }
 
 /// Pre-resolved [`Counter`] handles for every `siopmp.*` metric, so the
-/// check hot path pays one relaxed atomic add per event instead of a
-/// registry lookup.
+/// check hot path pays one relaxed add per event, on a cache line of the
+/// checking thread's own, instead of a registry lookup.
 #[derive(Debug, Clone)]
 pub struct CoreCounters {
     /// `siopmp.checks`

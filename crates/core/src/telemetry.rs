@@ -11,7 +11,11 @@
 //! Handles are cheap (`Arc` clones) and thread-safe: counters and histogram
 //! buckets are atomics, rings take a mutex only on push/snapshot. Hot paths
 //! hold a pre-resolved handle ([`Telemetry::counter`] is get-or-create, done
-//! once at construction) so recording is a single atomic add.
+//! once at construction). A [`Counter`] is striped: each thread adds to a
+//! cache line of its own (one thread-local read and one relaxed add), and
+//! a read sums the lines, so checks running on several threads never write
+//! the same line. A ring may hold typed deny records, which render as text
+//! only when read, so recording one allocates nothing once the ring is full.
 //!
 //! ```
 //! use siopmp::telemetry::Telemetry;
@@ -27,11 +31,14 @@
 //! assert_eq!(snap.histograms["bus.burst_latency_cycles"].p50(), 17);
 //! ```
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
+use crate::violation::ViolationRecord;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -40,9 +47,102 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 // Counter
 // ---------------------------------------------------------------------------
 
-/// A monotonic counter handle. Cloning shares the underlying cell.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+/// Cells per [`Counter`], a power of two. Up to this many threads alive at
+/// once each add to a cell of their own; more share cells.
+const CELLS: usize = 8;
+
+/// One counter cell, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct PaddedCell(AtomicU64);
+
+/// Cells held by live threads, one bit per cell index. Relaxed: the bits
+/// only spread threads over cells, and no count depends on them.
+static CELLS_HELD: AtomicUsize = AtomicUsize::new(0);
+
+/// Hands out cell indices once every cell is held.
+static CELLS_SHARED: AtomicUsize = AtomicUsize::new(0);
+
+/// Marks a thread that has not added to any counter yet.
+const NO_CELL: usize = usize::MAX;
+
+thread_local! {
+    /// The cell index this thread adds to, or [`NO_CELL`].
+    static CELL: Cell<usize> = const { Cell::new(NO_CELL) };
+    /// The cell index this thread holds, freed when the thread exits.
+    static HELD: HeldCell = const { HeldCell(Cell::new(None)) };
+}
+
+struct HeldCell(Cell<Option<usize>>);
+
+impl Drop for HeldCell {
+    fn drop(&mut self) {
+        if let Some(i) = self.0.get() {
+            CELLS_HELD.fetch_and(!(1 << i), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The calling thread's cell index, below [`CELLS`].
+#[inline]
+fn thread_cell() -> usize {
+    let i = CELL.with(Cell::get);
+    if i < CELLS {
+        i
+    } else {
+        claim_cell()
+    }
+}
+
+/// Gives the calling thread the lowest cell no live thread holds, or, when
+/// every cell is held, one in turn to share.
+#[cold]
+fn claim_cell() -> usize {
+    let all = (1usize << CELLS) - 1;
+    let mut held = CELLS_HELD.load(Ordering::Relaxed);
+    let i = loop {
+        let free = !held & all;
+        if free == 0 {
+            break CELLS_SHARED.fetch_add(1, Ordering::Relaxed) % CELLS;
+        }
+        let i = free.trailing_zeros() as usize;
+        match CELLS_HELD.compare_exchange_weak(
+            held,
+            held | 1 << i,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => {
+                // A thread already tearing down its thread-locals cannot
+                // hold a cell until exit: it shares this one instead.
+                if HELD.try_with(|h| h.0.set(Some(i))).is_err() {
+                    CELLS_HELD.fetch_and(!(1 << i), Ordering::Relaxed);
+                }
+                break i;
+            }
+            Err(now) => held = now,
+        }
+    };
+    CELL.with(|c| c.set(i));
+    i
+}
+
+/// A monotonic counter handle. Cloning shares the underlying cells.
+///
+/// The count is striped over eight cells, each on a cache line of its
+/// own. A thread adds to the cell it was given at its first add, and
+/// threads alive at the same time get different cells while there are no
+/// more of them than cells, so they do not write one line.
+/// [`Counter::get`] returns the wrapping sum of the cells, which equals
+/// what a single cell would hold, wraparound included.
+#[derive(Clone, Default)]
+pub struct Counter(Arc<[PaddedCell; CELLS]>);
+
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
+}
 
 impl Counter {
     /// A fresh, unregistered counter at zero.
@@ -60,13 +160,17 @@ impl Counter {
     /// wrapping keeps the hot path branch-free).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[thread_cell() % CELLS]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current value.
+    /// The current value: the wrapping sum of every thread's adds.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().fold(0, |sum, cell| {
+            sum.wrapping_add(cell.0.load(Ordering::Relaxed))
+        })
     }
 }
 
@@ -285,12 +389,48 @@ pub struct Event {
     pub message: String,
 }
 
+/// What a ring holds per event: free text, or a typed deny record that
+/// renders as text only when read.
+#[derive(Debug, Clone)]
+enum Payload {
+    Text(String),
+    Deny(ViolationRecord),
+}
+
+impl Payload {
+    fn render(&self) -> String {
+        match self {
+            Payload::Text(message) => message.clone(),
+            Payload::Deny(r) => format!(
+                "deny device={} addr={:#x} len={} kind={}",
+                r.device.0, r.addr, r.len, r.kind
+            ),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RingInner {
     capacity: usize,
-    next_seq: u64,
     dropped: u64,
-    events: VecDeque<Event>,
+    /// Retained events, oldest first. They carry consecutive sequence
+    /// numbers starting at `dropped`, the number evicted before them.
+    events: VecDeque<Payload>,
+}
+
+impl RingInner {
+    /// The retained events with sequence number `seq` or later, rendered.
+    fn render_since(&self, seq: u64) -> Vec<Event> {
+        let skip = seq.saturating_sub(self.dropped) as usize;
+        (self.dropped..)
+            .zip(&self.events)
+            .skip(skip)
+            .map(|(seq, payload)| Event {
+                seq,
+                message: payload.render(),
+            })
+            .collect()
+    }
 }
 
 /// A bounded ring of recent events. When full, the *oldest* event is
@@ -306,30 +446,39 @@ impl EventRing {
     pub fn new(capacity: usize) -> Self {
         EventRing(Arc::new(Mutex::new(RingInner {
             capacity: capacity.max(1),
-            next_seq: 0,
             dropped: 0,
             events: VecDeque::new(),
         })))
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, RingInner> {
+        self.0.lock().expect("no ring holder panicked")
+    }
+
     /// Appends an event, evicting (and counting) the oldest when full.
     pub fn push(&self, message: impl Into<String>) {
-        let mut inner = self.0.lock().unwrap();
+        self.push_payload(Payload::Text(message.into()));
+    }
+
+    /// Appends a deny record, read back as
+    /// `deny device=… addr=0x… len=… kind=…`. Once the ring is full this
+    /// allocates nothing.
+    pub(crate) fn push_deny(&self, record: ViolationRecord) {
+        self.push_payload(Payload::Deny(record));
+    }
+
+    fn push_payload(&self, payload: Payload) {
+        let mut inner = self.lock();
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.events.push_back(Event {
-            seq,
-            message: message.into(),
-        });
+        inner.events.push_back(payload);
     }
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.0.lock().unwrap().events.len()
+        self.lock().events.len()
     }
 
     /// Whether the ring holds no events.
@@ -339,26 +488,40 @@ impl EventRing {
 
     /// Events evicted so far.
     pub fn dropped(&self) -> u64 {
-        self.0.lock().unwrap().dropped
+        self.lock().dropped
     }
 
     /// Copies of the retained events with sequence number `seq` or later,
     /// oldest first. Events evicted before the call are not returned.
     pub fn events_since(&self, seq: u64) -> Vec<Event> {
-        let inner = self.0.lock().expect("no ring holder panicked");
-        // Retained events carry consecutive sequence numbers starting at
-        // the number of evicted ones.
-        let skip = seq.saturating_sub(inner.dropped) as usize;
-        inner.events.iter().skip(skip).cloned().collect()
+        self.lock().render_since(seq)
+    }
+
+    /// Pushes into `into` the retained events with sequence number `seq`
+    /// or later, deny records staying typed, and returns the sequence
+    /// number after the last event seen. The events are copied out before
+    /// `into` is locked, so two rings copying into each other cannot
+    /// deadlock.
+    fn copy_since(&self, seq: u64, into: &EventRing) -> u64 {
+        let (copied, next) = {
+            let inner = self.lock();
+            let skip = seq.saturating_sub(inner.dropped) as usize;
+            let copied: Vec<Payload> = inner.events.iter().skip(skip).cloned().collect();
+            (copied, inner.dropped + inner.events.len() as u64)
+        };
+        for payload in copied {
+            into.push_payload(payload);
+        }
+        next.max(seq)
     }
 
     /// A point-in-time copy.
     pub fn snapshot(&self) -> RingSnapshot {
-        let inner = self.0.lock().unwrap();
+        let inner = self.lock();
         RingSnapshot {
             capacity: inner.capacity,
             dropped: inner.dropped,
-            events: inner.events.iter().cloned().collect(),
+            events: inner.render_since(0),
         }
     }
 }
@@ -465,11 +628,8 @@ impl Telemetry {
             fresh.histogram(name).absorb(&histogram.snapshot());
         }
         for (name, ring) in self.0.rings.lock().unwrap().iter() {
-            let snap = ring.snapshot();
-            let copy = fresh.ring(name, snap.capacity);
-            for e in snap.events {
-                copy.push(e.message);
-            }
+            let capacity = ring.lock().capacity;
+            ring.copy_since(0, &fresh.ring(name, capacity));
         }
         fresh
     }
@@ -641,10 +801,7 @@ impl DeltaFold {
             }
         }
         for p in &mut self.rings {
-            for e in p.from.events_since(p.seen) {
-                p.seen = e.seq + 1;
-                p.into.push(e.message);
-            }
+            p.seen = p.from.copy_since(p.seen, &p.into);
         }
     }
 
@@ -665,10 +822,7 @@ impl DeltaFold {
         self.rings = pair_up(
             &source.rings,
             std::mem::take(&mut self.rings),
-            |name, ring| {
-                let capacity = ring.0.lock().expect("no ring holder panicked").capacity;
-                target.ring(name, capacity)
-            },
+            |name, ring| target.ring(name, ring.lock().capacity),
         );
     }
 }
@@ -841,6 +995,37 @@ mod tests {
         assert_eq!(delta.count, 1);
         assert_eq!(delta.sum, 3);
         assert_eq!(delta.max, 50, "max is a running maximum, not a delta");
+    }
+
+    #[test]
+    fn deny_records_render_when_read_and_stay_typed_when_copied() {
+        use crate::ids::DeviceId;
+        use crate::request::AccessKind;
+        let t = Telemetry::new();
+        let ring = t.ring("r", 2);
+        ring.push("text");
+        ring.push_deny(ViolationRecord {
+            device: DeviceId(3),
+            sid: None,
+            addr: 0x1000,
+            len: 8,
+            kind: AccessKind::Write,
+        });
+        let deny = "deny device=3 addr=0x1000 len=8 kind=write";
+        let since = ring.events_since(1);
+        assert_eq!((since.len(), since[0].seq), (1, 1));
+        assert_eq!(since[0].message, deny);
+        let merged = Telemetry::new();
+        DeltaFold::new(&t, &merged).fold();
+        for copy in [&t, &t.fork(), &merged] {
+            let snap = copy.ring("r", 2).snapshot();
+            let msgs: Vec<&str> = snap.events.iter().map(|e| e.message.as_str()).collect();
+            assert_eq!(msgs, ["text", deny]);
+            assert!(matches!(
+                copy.ring("r", 2).lock().events[1],
+                Payload::Deny(_)
+            ));
+        }
     }
 
     #[test]

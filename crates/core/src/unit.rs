@@ -510,15 +510,41 @@ impl Siopmp {
     /// [`SiopmpError::DeviceAlreadyMapped`] when already registered (hot or
     /// cold).
     pub fn register_cold_device(&mut self, device: DeviceId, record: MountableEntry) -> Result<()> {
+        self.register_cold_devices([(device, record)])
+    }
+
+    /// Registers each of `devices` as cold, in order, as
+    /// [`Siopmp::register_cold_device`] does one, with a single publish —
+    /// so a range of n devices costs O(n), not n snapshot rebuilds.
+    ///
+    /// # Errors
+    ///
+    /// * [`SiopmpError::InvalidConfig`] when the unit has no extended
+    ///   table, and [`SiopmpError::DeviceAlreadyMapped`] when a device is
+    ///   hot: nothing is registered then;
+    /// * [`SiopmpError::DeviceAlreadyMapped`] when a device is already
+    ///   cold or appears twice: the devices before it stay registered.
+    ///
+    /// [`SiopmpError::DeviceAlreadyMapped`] names the first device that
+    /// failed.
+    pub fn register_cold_devices(
+        &mut self,
+        devices: impl IntoIterator<Item = (DeviceId, MountableEntry)>,
+    ) -> Result<()> {
         if !self.config.mountable {
             return Err(SiopmpError::InvalidConfig(
                 "the original IOPMP has no extended table; all devices must be hot",
             ));
         }
-        if self.cam.peek(device).is_some() {
+        let devices: Vec<(DeviceId, MountableEntry)> = devices.into_iter().collect();
+        if let Some(&(device, _)) = devices.iter().find(|(d, _)| self.cam.peek(*d).is_some()) {
             return Err(SiopmpError::DeviceAlreadyMapped(device));
         }
-        self.mutate(|u| u.extended.register(device, record))
+        self.mutate(|u| {
+            devices
+                .into_iter()
+                .try_for_each(|(device, record)| u.extended.register(device, record))
+        })
     }
 
     /// Releases `device` from the unit, so no SID speaks for it any more.

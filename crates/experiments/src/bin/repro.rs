@@ -38,7 +38,7 @@ const SPEC: Spec = Spec {
     tool: "repro",
     usage: "usage: repro [--list] [--json] [--threads N] [--out PATH] [experiment ...]",
     flags: &["--list", "--json"],
-    options: &["--seed", "--threads", "--out"],
+    options: &["--threads", "--out"],
 };
 
 fn main() -> ExitCode {
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
                 ]),
             ),
         ]);
-        let doc = envelope("repro", args.seed, threads, payload);
+        let doc = envelope("repro", None, threads, payload);
         println!("{}", doc.pretty());
         if let Some(path) = &args.out {
             if let Err(e) = std::fs::write(path, format!("{}\n", doc.pretty())) {

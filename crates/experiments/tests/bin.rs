@@ -1,5 +1,6 @@
 //! End-to-end checks of the `repro` command line: `--list` names the
-//! experiments, and the retired `-l` alias fails with the usage line.
+//! experiments, and the retired `-l` alias and the unread `--seed` fail
+//! with the usage line.
 
 use std::process::{Command, Output};
 
@@ -22,5 +23,15 @@ fn short_list_alias_is_refused() {
     assert!(!out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `-l`"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+}
+
+#[test]
+fn seed_is_refused() {
+    // No experiment reads a seed.
+    let out = repro(&["--seed", "7", "--list"]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--seed`"), "{stderr}");
     assert!(stderr.contains("usage: repro"), "{stderr}");
 }

@@ -31,14 +31,7 @@ const SPEC: Spec = Spec {
     tool: "siopmp-prove",
     usage: USAGE,
     flags: &["--json", "--skip-mutations"],
-    options: &[
-        "--seed",
-        "--threads",
-        "--out",
-        "--profile",
-        "--max-depth",
-        "--max-states",
-    ],
+    options: &["--out", "--profile", "--max-depth", "--max-states"],
 };
 
 fn parse_bound(args: &siopmp::cli::Args, name: &str, default: usize) -> Result<usize, String> {
@@ -143,7 +136,7 @@ fn run() -> Result<bool, String> {
             ]),
         ),
     ]);
-    let doc = envelope("prove", args.seed, args.threads.unwrap_or(1), payload);
+    let doc = envelope("prove", None, 1, payload);
     if args.json {
         println!("{}", doc.pretty());
     }

@@ -80,3 +80,15 @@ fn list_is_refused_with_usage() {
     assert!(err.contains("unknown flag `--list`"), "{err}");
     assert!(err.contains("usage: siopmp-prove"), "{err}");
 }
+
+#[test]
+fn seed_and_threads_are_refused_with_usage() {
+    // No exploration or mutation pass reads either.
+    for flag in ["--seed", "--threads"] {
+        let out = prove().args([flag, "2"]).output().expect("binary runs");
+        assert!(!out.status.success(), "{flag} exited 0");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("usage: siopmp-prove"), "{err}");
+    }
+}

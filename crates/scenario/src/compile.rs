@@ -9,6 +9,7 @@
 
 use crate::ast::*;
 use siopmp::entry::{AddressRange, IopmpEntry, Permissions};
+use siopmp::error::SiopmpError;
 use siopmp::ids::{DeviceId, MdIndex, SourceId};
 use siopmp::json::Json;
 use siopmp::mountable::MountableEntry;
@@ -140,13 +141,15 @@ fn build_unit(s: &Scenario, d: &Domain) -> Result<BuiltUnit, CompileError> {
     let telemetry = Telemetry::new();
     let mut unit = Siopmp::build(cfg, telemetry.clone());
     let mut sids: Vec<(u64, SourceId)> = Vec::new();
+    let declared_twice = |id: u64| fail(Some(name), format!("device {id} declared twice"));
     for dev in &d.devices {
-        for id in dev.first..dev.first + dev.count {
-            if sids.iter().any(|&(known, _)| known == id) {
-                return fail(Some(name), format!("device {id} declared twice"));
-            }
-            match &dev.kind {
-                DeviceKind::Hot { mds } => {
+        let ids = dev.first..dev.first + dev.count;
+        match &dev.kind {
+            DeviceKind::Hot { mds } => {
+                for id in ids {
+                    if hot_sid(&sids, id).is_some() {
+                        return declared_twice(id);
+                    }
                     let sid = unit
                         .map_hot_device(DeviceId(id))
                         .map_err(|e| CompileError {
@@ -162,7 +165,14 @@ fn build_unit(s: &Scenario, d: &Domain) -> Result<BuiltUnit, CompileError> {
                     }
                     sids.push((id, sid));
                 }
-                DeviceKind::Cold { mds, records } => {
+            }
+            DeviceKind::Cold { mds, records } => {
+                // One publish for the whole stanza. Errors come in the
+                // order a per-ID loop meets them: a hot ID ends the
+                // registered prefix, and record ranges are checked at the
+                // first ID.
+                let first_hot = ids.clone().find(|&id| hot_sid(&sids, id).is_some());
+                if first_hot != Some(dev.first) {
                     let mut entries = Vec::with_capacity(records.len());
                     for r in records {
                         entries.push(IopmpEntry::new(
@@ -170,17 +180,25 @@ fn build_unit(s: &Scenario, d: &Domain) -> Result<BuiltUnit, CompileError> {
                             permissions(r.perms),
                         ));
                     }
-                    unit.register_cold_device(
-                        DeviceId(id),
-                        MountableEntry {
-                            domains: mds.iter().map(|&md| MdIndex(md)).collect(),
-                            entries,
-                        },
-                    )
-                    .map_err(|e| CompileError {
-                        domain: Some(name.to_string()),
-                        message: format!("cannot register cold device {id}: {e}"),
-                    })?;
+                    let record = MountableEntry {
+                        domains: mds.iter().map(|&md| MdIndex(md)).collect(),
+                        entries,
+                    };
+                    let cold = dev.first..first_hot.unwrap_or(ids.end);
+                    unit.register_cold_devices(cold.map(|id| (DeviceId(id), record.clone())))
+                        .map_err(|e| {
+                            let id = match e {
+                                SiopmpError::DeviceAlreadyMapped(device) => device.0,
+                                _ => dev.first,
+                            };
+                            CompileError {
+                                domain: Some(name.to_string()),
+                                message: format!("cannot register cold device {id}: {e}"),
+                            }
+                        })?;
+                }
+                if let Some(id) = first_hot {
+                    return declared_twice(id);
                 }
             }
         }
@@ -564,9 +582,42 @@ expect lint clean
 
     #[test]
     fn duplicate_device_is_a_compile_error() {
-        let s = parse("scenario t\ndomain d0\n  device 1..3 hot\n  device 2 cold\n").unwrap();
-        let err = compile(&s, &RunOptions::default()).unwrap_err();
-        assert!(err.message.contains("declared twice"), "{err}");
+        // Cold ranges register with one publish, but report the device a
+        // per-ID loop would stop at.
+        for (devices, message) in [
+            (
+                "device 1..3 hot\n  device 2 cold",
+                "device 2 declared twice",
+            ),
+            (
+                "device 1..3 hot\n  device 0..4 cold",
+                "device 1 declared twice",
+            ),
+            (
+                "device 4 hot\n  device 2..9 cold",
+                "device 4 declared twice",
+            ),
+            (
+                "device 5 cold\n  device 3..8 cold",
+                "cannot register cold device 5: ",
+            ),
+        ] {
+            let s = parse(&format!("scenario t\ndomain d0\n  {devices}\n")).unwrap();
+            let err = compile(&s, &RunOptions::default()).unwrap_err();
+            assert!(err.message.starts_with(message), "{devices}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_cold_range_registers_with_one_publish() {
+        let build = |text: &str| {
+            let s = parse(text).unwrap();
+            build_unit(&s, &s.domains[0]).unwrap().unit
+        };
+        let bare = build("scenario t\ndomain d0\n");
+        let cold = build("scenario t\ndomain d0\n  device 2..1026 cold\n");
+        assert_eq!(cold.cold_device_count(), 1024);
+        assert_eq!(cold.generation(), bare.generation() + 1);
     }
 
     #[test]

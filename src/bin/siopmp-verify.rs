@@ -38,7 +38,7 @@ const SPEC: Spec = Spec {
     usage: "usage: siopmp-verify [--list] [--json] [--seed N] [--out PATH] \
 [--differential] [scenario ...]",
     flags: &["--list", "--json", "--differential"],
-    options: &["--seed", "--threads", "--out"],
+    options: &["--seed", "--out"],
 };
 
 struct Scenario {
@@ -252,7 +252,7 @@ fn main() -> ExitCode {
             })),
         ),
     ]);
-    let json = envelope("verify", args.seed, args.threads.unwrap_or(1), payload);
+    let json = envelope("verify", args.seed, 1, payload);
     if args.json {
         println!("{}", json.pretty());
     }

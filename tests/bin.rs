@@ -1,7 +1,7 @@
 //! End-to-end checks of the `siopmp-verify` command line: a built-in
-//! configuration still lints clean, and the retired `.scn` input and
-//! `--corpus` flag fail with the usage line (`siopmp-scenario lint` is
-//! the one `.scn` linter).
+//! configuration still lints clean, and the retired `.scn` input, the
+//! `--corpus` flag and the unread `--threads` fail with the usage line
+//! (`siopmp-scenario lint` is the one `.scn` linter).
 
 use std::process::{Command, Output};
 
@@ -34,4 +34,14 @@ fn scn_input_and_corpus_flag_are_refused() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn threads_is_refused() {
+    // The lint and the differential sweep run on one thread.
+    let out = verify(&["--threads", "2", "preset-small"]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--threads`"), "{stderr}");
+    assert!(stderr.contains("usage: siopmp-verify"), "{stderr}");
 }
