@@ -604,9 +604,9 @@ impl BusSim {
     /// Issuing is two-phase: first every eligible master (in index order)
     /// commits its next burst to the cycle's batch, then one
     /// [`AccessPolicy::decide_batch`] call resolves all their verdicts —
-    /// letting an sIOPMP policy amortise SID routing and the decision-cache
-    /// epoch load across the batch. Selection, counter and trace order are
-    /// identical to deciding per master.
+    /// letting an sIOPMP policy route each distinct device once per
+    /// batch. Selection, counter and trace order are identical to
+    /// deciding per master.
     fn issue_bursts(&mut self, t: u64) {
         debug_assert!(self.issue_scratch.is_empty());
         let mut batch = std::mem::take(&mut self.issue_scratch);

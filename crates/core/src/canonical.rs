@@ -19,9 +19,10 @@
 //!
 //! Excluded: the publish generation (a monotone counter — keying on it
 //! would make every state unique and the dedup vacuous),
-//! telemetry counters, the violation log and its capacity, and cached
-//! decision state and its sizing (all observability or memoisation, none
-//! of it feeds back into verdicts).
+//! telemetry counters, the violation log and its capacity, the compiled
+//! per-SID views, and whether the unit walks them or the reference path
+//! (all observability or derived state, none of it feeds back into
+//! verdicts).
 //!
 //! The encoding is self-delimiting (every variable-length section is
 //! length-prefixed), so distinct states cannot collide byte-wise; the
@@ -161,7 +162,11 @@ mod tests {
     use crate::{Siopmp, SiopmpConfig};
 
     fn unit() -> Siopmp {
-        let mut u = Siopmp::build(SiopmpConfig::small(), None);
+        grant_one_page(Siopmp::build(SiopmpConfig::small(), None))
+    }
+
+    /// Device 1 granted `[0x1000, 0x2000)` rw through MD 0.
+    fn grant_one_page(mut u: Siopmp) -> Siopmp {
         let sid = u.map_hot_device(DeviceId(1)).unwrap();
         u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
         u.install_entry(
@@ -251,26 +256,10 @@ mod tests {
         let mut u = unit();
         u.set_violation_log_capacity(8).unwrap();
         assert_eq!(u.policy_fingerprint(), base);
-        for slots in [0, 1, 64] {
-            let mut u = Siopmp::build(
-                SiopmpConfig {
-                    decision_cache_slots: slots,
-                    ..SiopmpConfig::small()
-                },
-                None,
-            );
-            let sid = u.map_hot_device(DeviceId(1)).unwrap();
-            u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
-            u.install_entry(
-                MdIndex(0),
-                IopmpEntry::new(
-                    AddressRange::new(0x1000, 0x1000).unwrap(),
-                    Permissions::rw(),
-                ),
-            )
-            .unwrap();
-            assert_eq!(u.policy_fingerprint(), base, "{slots} cache slots");
-        }
+        // The reference walk decides like the index: same policy, same
+        // fingerprint.
+        let reference = grant_one_page(Siopmp::build_reference(SiopmpConfig::small(), None));
+        assert_eq!(reference.policy_fingerprint(), base);
         // A geometry change is policy: it must move the fingerprint.
         let wider = Siopmp::build(
             SiopmpConfig {

@@ -51,11 +51,6 @@ pub struct SiopmpConfig {
     /// IOPMP proposal has none — every device must hold a hardware SID,
     /// which is the device-count limitation §4.2 removes.
     pub mountable: bool,
-    /// Slots in the page-granular decision cache backing the check fast
-    /// path (rounded up to a power of two). `0` disables the fast path
-    /// entirely — every check walks and sorts the masked entry list, the
-    /// reference behaviour the differential test suite compares against.
-    pub decision_cache_slots: usize,
     /// Maximum retained [`crate::violation::ViolationRecord`]s. When the
     /// log is full the oldest record is dropped (and counted in
     /// `siopmp.violation_log_dropped`), bounding memory under adversarial
@@ -81,7 +76,6 @@ impl Default for SiopmpConfig {
             violation_mode: ViolationMode::PacketMasking,
             placement: Placement::PerDevice,
             mountable: true,
-            decision_cache_slots: 1024,
             violation_log_capacity: 4096,
         }
     }
@@ -93,12 +87,10 @@ impl SiopmpConfig {
     /// `num_sids - 1`.
     pub const MAX_SIDS: usize = 1 << 16;
 
-    /// Most slots [`SiopmpConfig::num_entries`] and
-    /// [`SiopmpConfig::decision_cache_slots`] may each ask for. The paper
-    /// sweeps 32..=1024 entries and the default cache has 1024 slots;
-    /// both tables are allocated when the unit is built (the cache again
-    /// with every published snapshot), so the cap keeps a mistyped size
-    /// from allocating without bound.
+    /// Most slots [`SiopmpConfig::num_entries`] may ask for. The paper
+    /// sweeps 32..=1024 entries; the table is allocated when the unit is
+    /// built, so the cap keeps a mistyped size from allocating without
+    /// bound.
     pub const MAX_TABLE_SLOTS: usize = 1 << 20;
 
     /// Number of SIDs usable by hot devices (`num_sids - 1`; the last SID is
@@ -151,11 +143,9 @@ impl SiopmpConfig {
         if self.num_entries == 0 {
             return Err(SiopmpError::InvalidConfig("entry table cannot be empty"));
         }
-        if self.num_entries > Self::MAX_TABLE_SLOTS
-            || self.decision_cache_slots > Self::MAX_TABLE_SLOTS
-        {
+        if self.num_entries > Self::MAX_TABLE_SLOTS {
             return Err(SiopmpError::InvalidConfig(
-                "the entry table and the decision cache hold at most 1 << 20 slots each",
+                "the entry table holds at most 1 << 20 slots",
             ));
         }
         if self.cold_md_entries == 0 || self.cold_md_entries >= self.num_entries {
@@ -186,7 +176,6 @@ impl SiopmpConfig {
             violation_mode: ViolationMode::BusError,
             placement: Placement::PerDevice,
             mountable: false,
-            decision_cache_slots: 1024,
             violation_log_capacity: 4096,
         }
     }
@@ -256,37 +245,27 @@ mod tests {
     #[test]
     fn fast_path_knobs_default_on_and_bounded() {
         let cfg = SiopmpConfig::default();
-        assert_eq!(cfg.decision_cache_slots, 1024);
         assert_eq!(cfg.violation_log_capacity, 4096);
         let cfg = SiopmpConfig {
             violation_log_capacity: 0,
             ..SiopmpConfig::default()
         };
         assert!(cfg.validate().is_err());
-        let cfg = SiopmpConfig {
-            decision_cache_slots: 0,
-            ..SiopmpConfig::default()
-        };
-        cfg.validate()
-            .expect("cache-free reference config is valid");
     }
 
     #[test]
     fn sizes_beyond_the_sid_space_or_the_table_cap_are_rejected() {
         let max = SiopmpConfig::MAX_TABLE_SLOTS;
-        // `sids=70000` used to truncate the cold SID to SourceId(4463), and
-        // `cache=0xffffffffffffffff` to panic in `next_power_of_two`.
-        for (num_sids, num_entries, decision_cache_slots, valid) in [
-            (70_000, 1024, 1024, false),
-            (SiopmpConfig::MAX_SIDS, 1024, 1024, true),
-            (64, max + 1, 1024, false),
-            (64, 1024, usize::MAX, false),
-            (64, max, max, true),
+        // `sids=70000` used to truncate the cold SID to SourceId(4463).
+        for (num_sids, num_entries, valid) in [
+            (70_000, 1024, false),
+            (SiopmpConfig::MAX_SIDS, 1024, true),
+            (64, max + 1, false),
+            (64, max, true),
         ] {
             let cfg = SiopmpConfig {
                 num_sids,
                 num_entries,
-                decision_cache_slots,
                 ..SiopmpConfig::default()
             };
             assert_eq!(cfg.validate().is_ok(), valid, "{cfg:?}");

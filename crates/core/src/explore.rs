@@ -9,7 +9,10 @@
 //! * IOPMP **entry count** (protection capacity),
 //! * remap **CAM ways** (hot-device capacity, §4.3),
 //! * checker **pipeline depth** (frequency vs. added latency, §4.1),
-//! * **decision-cache slots** (p99 latency vs. area, the PR 2 fast path),
+//! * **decision-cache slots** (p99 latency vs. area): a modelled hardware
+//!   verdict cache in front of the checker, not the software model's check
+//!   path, which has no cache (its per-SID interval index lives in
+//!   [`crate::snapshot`]),
 //! * **checker shards** (N smaller checkers fed round-robin instead of one
 //!   monolith — the PR 5/PR 6 scaling lever expressed in hardware),
 //!
@@ -33,7 +36,7 @@
 //! a CAM-capacity miss penalty ([`check_p99_cycles`], costing one
 //! [`crate::mountable::cold_switch_cycles`] switch when the hot working set
 //! exceeds the ways) and the decision-cache pipeline bypass (a covering
-//! cache answers the p99 request combinationally, §5.1 / PR 2).
+//! hardware cache answers the p99 request combinationally, §5.1).
 
 use crate::area::{estimate, AreaReport};
 use crate::checker::CheckerKind;
@@ -70,7 +73,7 @@ pub struct DesignPoint {
     pub cam_ways: usize,
     /// Checker pipeline stages (binary-tree reduction per stage).
     pub stages: u8,
-    /// Decision-cache slots (0 disables the fast path).
+    /// Slots of the modelled hardware decision cache (0 = none).
     pub cache_slots: usize,
     /// Independent checker shards; entries are split evenly across them.
     pub shards: usize,

@@ -62,7 +62,6 @@
 
 pub mod area;
 pub mod atomic;
-pub mod cache;
 pub mod canonical;
 pub mod checker;
 pub mod cli;

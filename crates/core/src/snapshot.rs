@@ -8,7 +8,7 @@
 //!
 //! * every configuration mutator on [`crate::Siopmp`] rebuilds an
 //!   immutable [`CheckerSnapshot`] (routing tables, SRC2MD/MDCFG/entry
-//!   clones, per-SID compiled views, page-granular decision slots) and
+//!   clones, and per-SID compiled views with their interval indexes) and
 //!   **publishes** it with a single pointer swap;
 //! * readers — the owner's `&mut self` check path, and any number of
 //!   [`SharedSiopmp`] handles on other threads — resolve requests against
@@ -44,30 +44,31 @@
 //! paper's analogue of a master that issued before a register rewrite
 //! landed.
 //!
-//! # The shared decision cache
+//! # The per-SID interval index
 //!
-//! Each snapshot carries its own direct-mapped page-verdict table, so
-//! publishing a snapshot *is* the cache invalidation: a fresh snapshot
-//! starts with every slot empty, and the generation is the one publish
-//! counter. Because many threads fill the same slots, each slot is a
-//! miniature **seqlock**: writers claim the slot by bumping its version
-//! to odd (losers simply drop their fill — a benign lost insert), store
-//! the payload, then release an even version; readers re-check the
-//! version after reading and treat any interference as a miss.
-//! Verdicts are never *wrong*, only occasionally *absent*, and a
-//! miss just replays the compiled-view walk that produced the verdict in
-//! the first place.
+//! Each SID's compiled view is built lazily behind a [`OnceLock`] on first
+//! use per snapshot — one build per SID per publish, counted in
+//! `siopmp.cache.view_rebuilds` — and carries an interval index beside
+//! the entries. The entries' bases and ends cut the address space into
+//! segments, the first starting at 0. Every entry either covers a whole
+//! segment or misses it entirely, so an access that lies inside one
+//! segment is contained by exactly the entries that cover that segment,
+//! and the lowest-index one decides it, as [`CheckerKind::decide`] would.
+//! The index stores the segment starts, sorted, and beside them each
+//! segment's label: the lowest-index covering entry and its permissions,
+//! or none. A check is one binary search plus one label read, counted in
+//! `siopmp.cache.hits`. An access that spans segments, is empty or wraps
+//! walks the view in priority order instead, counted in
+//! `siopmp.cache.misses`.
 //!
-//! Per-SID compiled views are built lazily behind [`OnceLock`] on first
-//! use per snapshot, preserving the `siopmp.cache.view_rebuilds`
-//! accounting of the single-threaded path (one rebuild per SID per
-//! publish, paid by the first check that needs it).
+//! Nothing in a snapshot changes after its `OnceLock`s are set, so two
+//! checks of the same request against the same snapshot always agree,
+//! from any thread.
 
 use crate::atomic::SidBlockBitmap;
-use crate::cache::{self, PAGE_SHIFT};
 use crate::checker::{CheckerKind, Decision};
 use crate::config::SiopmpConfig;
-use crate::entry::IopmpEntry;
+use crate::entry::{IopmpEntry, Permissions};
 use crate::ids::{DeviceId, EntryIndex, SourceId};
 use crate::mountable::{EsidRegister, ExtendedIopmpTable};
 use crate::remap::DeviceId2SidCam;
@@ -79,8 +80,9 @@ use crate::unit::CheckOutcome;
 use crate::violation::ViolationRecord;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hint::select_unpredictable;
 use std::ops::Deref;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// How a device ID resolved through the SID-routing stage (CAM → eSID →
@@ -190,90 +192,89 @@ impl CheckEffects {
     }
 }
 
-/// One direct-mapped decision slot, usable by any number of concurrent
-/// readers and fillers: a per-slot seqlock. `version == 0` means never
-/// filled; odd means a fill is in flight; any other even value is stable.
+/// One SID's compiled view: the entries its SRC2MD registration reaches,
+/// and the interval index that decides an access inside one segment
+/// without walking them (see the module docs).
 #[derive(Debug)]
-struct SeqlockSlot {
-    version: AtomicU64,
-    page: AtomicU64,
-    meta: AtomicU64,
+struct SidView {
+    /// The reachable entries in ascending index order: what a miss walks.
+    entries: Vec<(EntryIndex, IopmpEntry)>,
+    /// Segment starts, ascending and distinct; `starts[0] == 0`.
+    starts: Vec<u64>,
+    /// `labels[i]`: the lowest-index entry covering segment `i` and its
+    /// permissions, or `None` when no entry covers it.
+    labels: Vec<Option<(EntryIndex, Permissions)>>,
 }
 
-/// Packs `(sid, kind)` into the low 17 bits of a slot's meta word (the
-/// tag compared on lookup).
-fn slot_tag(sid: SourceId, kind: AccessKind) -> u64 {
-    u64::from(sid.0) | ((kind as u64) << 16)
-}
-
-/// Meta word layout: bits 0..17 tag, bits 17..19 decision variant
-/// (1 = Allow, 2 = DenyPermission, 3 = DenyNoMatch), bits 19..51 the
-/// matched entry index.
-fn encode_meta(sid: SourceId, kind: AccessKind, decision: Decision) -> u64 {
-    let (variant, matched) = match decision {
-        Decision::Allow { matched } => (1u64, matched.0),
-        Decision::DenyPermission { matched } => (2, matched.0),
-        Decision::DenyNoMatch => (3, 0),
-    };
-    slot_tag(sid, kind) | (variant << 17) | (u64::from(matched) << 19)
-}
-
-fn decode_decision(meta: u64) -> Decision {
-    let matched = EntryIndex((meta >> 19) as u32);
-    match (meta >> 17) & 0b11 {
-        1 => Decision::Allow { matched },
-        2 => Decision::DenyPermission { matched },
-        _ => Decision::DenyNoMatch,
-    }
-}
-
-impl SeqlockSlot {
-    fn new() -> Self {
-        SeqlockSlot {
-            version: AtomicU64::new(0),
-            page: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
+impl SidView {
+    /// Indexes `entries`, which must be sorted by index. Painting the
+    /// entries in index order labels each segment with the first entry to
+    /// cover it. A skip array (union-find with path halving) leads each
+    /// painter past the segments already labelled, so the build is
+    /// O(n log n) however much the entries overlap.
+    fn new(entries: Vec<(EntryIndex, IopmpEntry)>) -> Self {
+        let mut starts = Vec::with_capacity(2 * entries.len() + 1);
+        starts.push(0);
+        for (_, entry) in &entries {
+            starts.extend([entry.range().base(), entry.range().end()]);
+        }
+        starts.sort_unstable();
+        starts.dedup();
+        let mut labels = vec![None; starts.len()];
+        // `next[i]` leads to the first unlabelled segment at or after `i`;
+        // `next[starts.len()]` is the end sentinel.
+        let mut next: Vec<usize> = (0..=starts.len()).collect();
+        for &(index, entry) in &entries {
+            let range = entry.range();
+            let end = starts.partition_point(|&s| s < range.end());
+            let mut i = unlabelled(&mut next, starts.partition_point(|&s| s < range.base()));
+            while i < end {
+                labels[i] = Some((index, entry.permissions()));
+                next[i] = i + 1;
+                i = unlabelled(&mut next, i + 1);
+            }
+        }
+        SidView {
+            entries,
+            starts,
+            labels,
         }
     }
 
-    /// Seqlock read: any interference (empty slot, in-flight fill, version
-    /// moved under us) reads as a miss, never as a torn verdict.
-    fn load(&self, sid: SourceId, page: u64, kind: AccessKind) -> Option<Decision> {
-        let v1 = self.version.load(Ordering::Acquire);
-        if v1 == 0 || v1 & 1 == 1 {
+    /// The decision for an access inside one segment: its label's. `None`
+    /// when the access is empty, wraps, or spans segments.
+    fn lookup(&self, addr: u64, len: u64, kind: AccessKind) -> Option<Decision> {
+        let end = addr.checked_add(len).filter(|_| len > 0)?;
+        // The last segment starting at or below `addr`, by a branchless
+        // lower bound: the loop's only branch is its trip count.
+        let mut at = 0;
+        let mut size = self.starts.len();
+        while size > 1 {
+            let half = size / 2;
+            at = select_unpredictable(self.starts[at + half] <= addr, at + half, at);
+            size -= half;
+        }
+        // Every non-wrapping access ends at or below `u64::MAX`, so the
+        // last segment contains any that starts in it.
+        if end > self.starts.get(at + 1).copied().unwrap_or(u64::MAX) {
             return None;
         }
-        let slot_page = self.page.load(Ordering::Relaxed);
-        let meta = self.meta.load(Ordering::Relaxed);
-        // Pairs with the release fence in `store`: if either data load saw
-        // a fill's value, the re-read below must see its claimed version.
-        fence(Ordering::Acquire);
-        if self.version.load(Ordering::Relaxed) != v1 {
-            return None;
-        }
-        (slot_page == page && meta & 0x1_FFFF == slot_tag(sid, kind)).then(|| decode_decision(meta))
+        Some(match self.labels[at] {
+            Some((matched, perms)) if perms.allows(kind.required()) => Decision::Allow { matched },
+            Some((matched, _)) => Decision::DenyPermission { matched },
+            None => Decision::DenyNoMatch,
+        })
     }
+}
 
-    /// Seqlock fill. A filler that loses the claim race simply drops its
-    /// verdict — the next miss recomputes it — so fills never block.
-    fn store(&self, sid: SourceId, page: u64, kind: AccessKind, decision: Decision) {
-        let v = self.version.load(Ordering::Relaxed);
-        if v & 1 == 1 {
-            return;
-        }
-        if self
-            .version
-            .compare_exchange(v, v + 1, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        fence(Ordering::Release);
-        self.page.store(page, Ordering::Relaxed);
-        self.meta
-            .store(encode_meta(sid, kind, decision), Ordering::Relaxed);
-        self.version.store(v + 2, Ordering::Release);
+/// Follows `next` from `i` to the first unlabelled segment, halving the
+/// path on the way.
+fn unlabelled(next: &mut [usize], mut i: usize) -> usize {
+    while next[i] != i {
+        next[i] = next[next[i]];
+        i = next[i];
     }
+    i
 }
 
 /// Borrowed views of the unit's master state, bundled for
@@ -287,14 +288,17 @@ pub(crate) struct SnapshotSources<'a> {
     pub src2md: &'a Src2MdTable,
     pub mdcfg: &'a MdCfgTable,
     pub entries: &'a EntryTable,
+    /// Whether checks walk and sort the masked entry list every time (the
+    /// reference semantics the differential suites compare against)
+    /// instead of compiling per-SID views.
+    pub reference: bool,
 }
 
 /// One immutable, internally-consistent copy of everything the check path
-/// reads: routing state, protection tables, compiled views and the
-/// page-granular decision slots. Shared freely across threads; the only
-/// interior mutability is monotone (lazy view compilation, seqlock verdict
-/// fills), so two checks of the same request against the same snapshot
-/// always agree.
+/// reads: routing state, protection tables, and per-SID compiled views
+/// with their interval indexes. Shared freely across threads; the only
+/// interior mutability is each view's one-time lazy build, so two checks
+/// of the same request against the same snapshot always agree.
 #[derive(Debug)]
 pub struct CheckerSnapshot {
     checker: CheckerKind,
@@ -306,21 +310,18 @@ pub struct CheckerSnapshot {
     src2md: Src2MdTable,
     mdcfg: MdCfgTable,
     entries: EntryTable,
-    /// Lazily compiled per-SID masked views; empty when the decision
-    /// cache is disabled (the reference walk-and-sort path is used).
-    views: Vec<OnceLock<Vec<(EntryIndex, IopmpEntry)>>>,
-    slots: Vec<SeqlockSlot>,
-    mask: u64,
+    /// Lazily compiled per-SID views; empty in a reference unit, which
+    /// walks and sorts the masked entry list on every check.
+    views: Vec<OnceLock<SidView>>,
 }
 
 impl CheckerSnapshot {
     pub(crate) fn capture(src: SnapshotSources<'_>) -> Self {
-        let slots = if src.config.decision_cache_slots == 0 {
+        let views = if src.reference {
             0
         } else {
-            src.config.decision_cache_slots.next_power_of_two()
+            src.config.num_sids
         };
-        let views = if slots == 0 { 0 } else { src.config.num_sids };
         CheckerSnapshot {
             checker: src.config.checker,
             cold_sid: src.config.cold_sid(),
@@ -332,26 +333,7 @@ impl CheckerSnapshot {
             mdcfg: src.mdcfg.clone(),
             entries: src.entries.clone(),
             views: (0..views).map(|_| OnceLock::new()).collect(),
-            slots: (0..slots).map(|_| SeqlockSlot::new()).collect(),
-            mask: (slots as u64).wrapping_sub(1),
         }
-    }
-
-    fn cache_enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    /// The direct-mapped slot for `(sid, page, kind)`: bits 24.. of a
-    /// Fibonacci hash of the key. A product's bit `i` depends only on the
-    /// multiplicand's bits `0..=i`, so the key's high half (the SID at bit
-    /// 48, the access kind at bit 63) is folded into the low half first;
-    /// otherwise neither could reach the index, and one SID reading and
-    /// writing a page — or two SIDs sharing it — would evict each other on
-    /// every check.
-    fn slot_index(&self, sid: SourceId, page: u64, kind: AccessKind) -> usize {
-        let key = (page >> PAGE_SHIFT) ^ (u64::from(sid.0) << 48) ^ ((kind as u64) << 63);
-        let key = key ^ (key >> 32);
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) & self.mask) as usize
     }
 
     /// Resolves which SID (if any) speaks for `device`. Pure — unlike the
@@ -421,9 +403,9 @@ impl CheckerSnapshot {
             }
         };
 
-        if !self.cache_enabled() {
-            // Cache-free reference path: mask the entry table down to this
-            // SID's domains, preserving global priority order.
+        if self.views.is_empty() {
+            // Reference walk: mask the entry table down to this SID's
+            // domains, preserving global priority order.
             let mut masked: Vec<(EntryIndex, &IopmpEntry)> = Vec::new();
             for md in reg.iter() {
                 if let Ok((start, end)) = self.mdcfg.window(md) {
@@ -437,21 +419,8 @@ impl CheckerSnapshot {
             return self.resolve(req, sid, decision, effects);
         }
 
-        // Fast path: a seqlock hit answers single-page requests without
-        // touching the entry table at all.
-        let page = cache::page_of(req.addr());
-        let cacheable = cache::within_one_page(req.addr(), req.len());
-        if cacheable {
-            let slot = &self.slots[self.slot_index(sid, page, req.kind())];
-            if let Some(decision) = slot.load(sid, page, req.kind()) {
-                effects.counters.cache_hits.inc();
-                return self.resolve(req, sid, decision, effects);
-            }
-            effects.counters.cache_misses.inc();
-        }
-
-        // Slow path: walk this SID's compiled view, building it on first
-        // use for this snapshot (== once per SID per publish).
+        // Compile this SID's view and index on first use in this snapshot
+        // (== once per SID per publish).
         let view = self.views[sid.0 as usize].get_or_init(|| {
             effects.counters.cache_view_rebuilds.inc();
             let mut buf: Vec<(EntryIndex, IopmpEntry)> = Vec::new();
@@ -461,28 +430,23 @@ impl CheckerSnapshot {
                 }
             }
             buf.sort_unstable_by_key(|(i, _)| *i);
-            buf
+            SidView::new(buf)
         });
-        let decision = self.checker.decide(
-            view.iter().map(|(i, e)| (*i, e)),
-            req.addr(),
-            req.len(),
-            req.kind(),
-        );
-        if cacheable {
-            if let Some(verdict) = cache::page_verdict(view, page, req.kind()) {
-                // A cacheable page verdict is by construction the decision
-                // for every access confined to that page, including this
-                // one.
-                debug_assert_eq!(verdict, decision);
-                self.slots[self.slot_index(sid, page, req.kind())].store(
-                    sid,
-                    page,
-                    req.kind(),
-                    verdict,
-                );
+        let decision = match view.lookup(req.addr(), req.len(), req.kind()) {
+            Some(decision) => {
+                effects.counters.cache_hits.inc();
+                decision
             }
-        }
+            None => {
+                effects.counters.cache_misses.inc();
+                self.checker.decide(
+                    view.entries.iter().map(|(i, e)| (*i, e)),
+                    req.addr(),
+                    req.len(),
+                    req.kind(),
+                )
+            }
+        };
         self.resolve(req, sid, decision, effects)
     }
 
@@ -514,10 +478,8 @@ impl CheckerSnapshot {
     /// structures, and the only side effect of a repeated CAM lookup is
     /// re-setting an already-set reference bit, so a route resolved at the
     /// first beat is valid for the whole batch. Decisions themselves are
-    /// **not** memoised across beats: the decision cache is direct-mapped,
-    /// so a fill for one page can evict another mid-batch, and a
-    /// batch-level decision memo would diverge from the per-beat engine's
-    /// hit/miss counters the moment that happens.
+    /// **not** memoised across beats: each beat is one index lookup, and
+    /// it counts its own index hit or miss, as the per-beat engine does.
     pub(crate) fn check_batch(
         &self,
         reqs: &[DmaRequest],
@@ -644,10 +606,8 @@ impl SharedState {
 ///
 /// Checks through this handle are observationally identical to the
 /// owner's `&mut self` check path — same outcomes, same `siopmp.*`
-/// counters, same violation log — with two documented exceptions: shared
-/// lookups never train the CAM's clock reference bits, and concurrent
-/// fills of the same decision slot may drop one verdict (costing a cache
-/// miss, never a wrong answer).
+/// counters, same violation log — with one documented exception: shared
+/// lookups never train the CAM's clock reference bits.
 ///
 /// # Examples
 ///
@@ -789,83 +749,5 @@ mod tests {
         assert_send_sync::<SharedSiopmp>();
         assert_send_sync::<PinnedChecker>();
         assert_send_sync::<CheckerSnapshot>();
-    }
-
-    #[test]
-    fn meta_word_round_trips_every_decision() {
-        let sid = SourceId(0x1ABC);
-        for kind in [AccessKind::Read, AccessKind::Write] {
-            for decision in [
-                Decision::Allow {
-                    matched: EntryIndex(u32::MAX),
-                },
-                Decision::DenyPermission {
-                    matched: EntryIndex(12345),
-                },
-                Decision::DenyNoMatch,
-            ] {
-                let meta = encode_meta(sid, kind, decision);
-                assert_eq!(meta & 0x1_FFFF, slot_tag(sid, kind));
-                assert_eq!(decode_decision(meta), decision);
-            }
-        }
-    }
-
-    #[test]
-    fn seqlock_slot_misses_when_empty_or_mismatched() {
-        let slot = SeqlockSlot::new();
-        let sid = SourceId(3);
-        assert_eq!(slot.load(sid, 0x1000, AccessKind::Read), None);
-        let d = Decision::Allow {
-            matched: EntryIndex(7),
-        };
-        slot.store(sid, 0x1000, AccessKind::Read, d);
-        assert_eq!(slot.load(sid, 0x1000, AccessKind::Read), Some(d));
-        assert_eq!(slot.load(sid, 0x1000, AccessKind::Write), None);
-        assert_eq!(slot.load(SourceId(4), 0x1000, AccessKind::Read), None);
-        assert_eq!(slot.load(sid, 0x2000, AccessKind::Read), None);
-    }
-
-    #[test]
-    fn seqlock_slot_never_serves_a_torn_verdict_under_contention() {
-        // Two writers hammer the same slot with distinguishable payloads;
-        // readers must only ever observe one of the two exact pairs.
-        let slot = Arc::new(SeqlockSlot::new());
-        let a = (
-            SourceId(1),
-            0x1000u64,
-            Decision::Allow {
-                matched: EntryIndex(11),
-            },
-        );
-        let b = (
-            SourceId(2),
-            0x2000u64,
-            Decision::DenyPermission {
-                matched: EntryIndex(22),
-            },
-        );
-        std::thread::scope(|s| {
-            for &(sid, page, decision) in [&a, &b] {
-                let slot = slot.clone();
-                s.spawn(move || {
-                    for _ in 0..20_000 {
-                        slot.store(sid, page, AccessKind::Read, decision);
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let slot = slot.clone();
-                s.spawn(move || {
-                    for _ in 0..20_000 {
-                        for &(sid, page, decision) in [&a, &b] {
-                            if let Some(d) = slot.load(sid, page, AccessKind::Read) {
-                                assert_eq!(d, decision, "torn or cross-keyed verdict");
-                            }
-                        }
-                    }
-                });
-            }
-        });
     }
 }

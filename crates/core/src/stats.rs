@@ -34,9 +34,11 @@ pub struct SiopmpStats {
     pub hot_hits: u64,
     /// Violation interrupts raised.
     pub violations: u64,
-    /// Checks answered from the page-granular decision cache.
+    /// Checks the per-SID interval index answered: the access lay inside
+    /// one segment of the SID's compiled view.
     pub cache_hits: u64,
-    /// Cache-eligible checks that had to walk the compiled view.
+    /// Checks that walked the compiled view instead, because the access
+    /// spans segments, is empty or wraps.
     pub cache_misses: u64,
     /// Compiled per-SID views (re)built, once per SID per published
     /// snapshot.
@@ -55,8 +57,8 @@ impl SiopmpStats {
         (self.denied_permission + self.denied_no_match) as f64 / self.checks as f64
     }
 
-    /// Fraction of cache-eligible checks answered from the decision
-    /// cache; `0.0` before any eligible check.
+    /// Fraction of the checks that reached a compiled view which its
+    /// interval index answered; `0.0` before any such check.
     pub fn cache_hit_rate(&self) -> f64 {
         let eligible = self.cache_hits + self.cache_misses;
         if eligible == 0 {

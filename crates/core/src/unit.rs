@@ -112,6 +112,8 @@ pub struct Siopmp {
     snapshot: Arc<CheckerSnapshot>,
     /// Publication point shared with every [`SharedSiopmp`] handle.
     shared: Arc<SharedState>,
+    /// Whether checks take the reference walk ([`Siopmp::build_reference`]).
+    reference: bool,
 }
 
 impl Clone for Siopmp {
@@ -119,21 +121,12 @@ impl Clone for Siopmp {
     /// every counter value accumulated so far but counts independently from
     /// here on (matching the old value-struct stats semantics). The clone
     /// publishes its own fresh snapshot — existing [`SharedSiopmp`] handles
-    /// keep following the original, and the clone's decision cache starts
-    /// cold.
+    /// keep following the original, and the clone compiles its per-SID
+    /// views afresh.
     fn clone(&self) -> Self {
         let telemetry = self.telemetry.fork();
         let counters = CoreCounters::attach(&telemetry);
-        let snapshot = Arc::new(CheckerSnapshot::capture(SnapshotSources {
-            config: &self.config,
-            cam: &self.cam,
-            esid: &self.esid,
-            extended: &self.extended,
-            blocks: &self.blocks,
-            src2md: &self.src2md,
-            mdcfg: &self.mdcfg,
-            entries: &self.entries,
-        }));
+        let snapshot = self.capture();
         let effects = CheckEffects::new(
             counters.clone(),
             telemetry.ring("siopmp.violation_events", VIOLATION_RING_CAPACITY),
@@ -153,6 +146,7 @@ impl Clone for Siopmp {
             telemetry,
             snapshot: snapshot.clone(),
             shared: Arc::new(SharedState::new(snapshot, effects)),
+            reference: self.reference,
         }
     }
 }
@@ -169,7 +163,20 @@ impl Siopmp {
     /// Panics if `config` fails [`SiopmpConfig::validate`]; construct and
     /// validate the configuration first when it comes from untrusted input.
     pub fn build(config: SiopmpConfig, telemetry: impl Into<Option<Telemetry>>) -> Self {
-        let telemetry = telemetry.into().unwrap_or_else(Telemetry::new);
+        Self::build_with(config, telemetry.into(), false)
+    }
+
+    /// Builds a unit whose checks walk and sort the masked entry list
+    /// every time, without compiled views or their index: the reference
+    /// semantics the differential suites compare [`Siopmp::build`]'s
+    /// units against. Its `siopmp.cache.*` counters stay at zero.
+    #[doc(hidden)]
+    pub fn build_reference(config: SiopmpConfig, telemetry: impl Into<Option<Telemetry>>) -> Self {
+        Self::build_with(config, telemetry.into(), true)
+    }
+
+    fn build_with(config: SiopmpConfig, telemetry: Option<Telemetry>, reference: bool) -> Self {
+        let telemetry = telemetry.unwrap_or_default();
         config.validate().expect("invalid sIOPMP configuration");
         let mut mdcfg = MdCfgTable::new(config.num_mds, config.num_entries);
         // Pre-carve the cold MD window at the top of the entry table and
@@ -205,6 +212,7 @@ impl Siopmp {
             src2md: &src2md,
             mdcfg: &mdcfg,
             entries: &entries,
+            reference,
         }));
         let effects = CheckEffects::new(
             counters.clone(),
@@ -228,6 +236,7 @@ impl Siopmp {
             shared: Arc::new(SharedState::new(snapshot, effects)),
             mdcfg,
             config,
+            reference,
         }
     }
 
@@ -256,11 +265,12 @@ impl Siopmp {
 
     /// The publish generation, shared with every [`SharedSiopmp`] handle
     /// ([`SharedSiopmp::generation`]). It starts at 1 and moves by one
-    /// each time a mutator publishes a fresh snapshot, whose decision
-    /// slots and compiled views start empty. So two equal readings around
-    /// an operation prove no cached verdict was invalidated in between,
-    /// and a changed reading proves stale cache hits are impossible
-    /// afterwards. A clone publishes on its own and restarts at 1.
+    /// each time a mutator publishes a fresh snapshot, whose compiled
+    /// views and interval indexes are built anew on first use. So two
+    /// equal readings around an operation prove nothing was published in
+    /// between, and a changed reading proves every check after it answers
+    /// from the new tables. A clone publishes on its own and restarts
+    /// at 1.
     pub fn generation(&self) -> u64 {
         self.shared.generation()
     }
@@ -322,7 +332,14 @@ impl Siopmp {
     /// it with a single pointer swap (readers keep whatever snapshot they
     /// already pinned; new checks see this one).
     fn publish(&mut self) {
-        let snapshot = Arc::new(CheckerSnapshot::capture(SnapshotSources {
+        let snapshot = self.capture();
+        self.snapshot = snapshot.clone();
+        self.shared.publish(snapshot);
+    }
+
+    /// A fresh snapshot of the live tables, its views not yet compiled.
+    fn capture(&self) -> Arc<CheckerSnapshot> {
+        Arc::new(CheckerSnapshot::capture(SnapshotSources {
             config: &self.config,
             cam: &self.cam,
             esid: &self.esid,
@@ -331,9 +348,8 @@ impl Siopmp {
             src2md: &self.src2md,
             mdcfg: &self.mdcfg,
             entries: &self.entries,
-        }));
-        self.snapshot = snapshot.clone();
-        self.shared.publish(snapshot);
+            reference: self.reference,
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -622,8 +638,7 @@ impl Siopmp {
     }
 
     /// Read-only view of `device`'s extended-table record. Unlike
-    /// [`Siopmp::take_cold_record`] this does not disturb the decision
-    /// cache.
+    /// [`Siopmp::take_cold_record`] this publishes nothing.
     ///
     /// # Errors
     ///
@@ -727,9 +742,9 @@ impl Siopmp {
             })
             .collect();
         cold.sort_by_key(|&(dev, ..)| dev);
-        // Every configuration field except the decision-cache sizing and the
-        // violation-log capacity, which never change a verdict. No `..`: a
-        // new field must be placed on one side or the other to compile.
+        // Every configuration field except the violation-log capacity, which
+        // never changes a verdict. No `..`: a new field must be placed on
+        // one side or the other to compile.
         let SiopmpConfig {
             num_sids,
             num_mds,
@@ -739,7 +754,6 @@ impl Siopmp {
             violation_mode,
             placement,
             mountable,
-            decision_cache_slots: _,
             violation_log_capacity: _,
         } = &self.config;
         CanonicalState {
@@ -823,7 +837,7 @@ impl Siopmp {
     /// Re-mounting the device that is **already mounted** is free: the
     /// hardware window already holds its entries, so no cycles are paid,
     /// no switch is counted and nothing is published, so the generation
-    /// stays put and cached verdicts stay valid. A SID-missing interrupt for
+    /// stays put and the compiled views stay valid. A SID-missing interrupt for
     /// the mounted device can only be spurious — the eSID register would
     /// have matched. Callers that rewrote the device's extended record
     /// while it was mounted must use [`Siopmp::remount_cold_device`]
@@ -1202,13 +1216,11 @@ mod tests {
 
     #[test]
     fn real_cold_switch_bumps_generation() {
-        // Regression for the stale-decision-cache hazard: any real switch
-        // must publish a fresh snapshot so verdicts cached for the
-        // previous tenant can never be served to the next one.
+        // Regression for the stale-view hazard: any real switch must
+        // publish a fresh snapshot so the index compiled for the previous
+        // tenant can never answer for the next one.
         let mut u = Siopmp::build(SiopmpConfig::default(), None);
         for d in [7u64, 8] {
-            // Page-sized regions: the page-granular cache only stores
-            // verdicts for pages that resolve uniformly.
             u.register_cold_device(
                 DeviceId(d),
                 MountableEntry {
@@ -1218,18 +1230,14 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(
-            u.config().decision_cache_slots > 0,
-            "default config enables the cache"
-        );
         u.handle_sid_missing(DeviceId(7)).unwrap();
-        // Populate the cache for tenant 7.
+        // Compile tenant 7's view; its index answers both checks.
         let req7 = DmaRequest::new(DeviceId(7), AccessKind::Read, 0x7000, 8);
         assert!(u.check(&req7).is_allowed());
         assert!(u.check(&req7).is_allowed());
         assert!(u.stats().cache_hits > 0);
         let generation = u.generation();
-        // Real switch: a publish, and tenant 7's cached verdict is dead.
+        // Real switch: a publish, and tenant 7's index is gone with it.
         u.handle_sid_missing(DeviceId(8)).unwrap();
         assert!(u.generation() > generation);
         assert_eq!(
@@ -1331,49 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_single_page_check_hits_decision_cache() {
-        let mut u = unit();
-        let sid = u.map_hot_device(DeviceId(1)).unwrap();
-        u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
-        u.install_entry(MdIndex(0), entry(0x1000, 0x1000, Permissions::rw()))
-            .unwrap();
-        let req = DmaRequest::new(DeviceId(1), AccessKind::Read, 0x1100, 8);
-        assert!(u.check(&req).is_allowed());
-        assert!(u.check(&req).is_allowed());
-        let s = u.stats();
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_view_rebuilds, 1);
-    }
-
-    #[test]
-    fn reads_writes_and_sids_sharing_a_page_keep_their_own_slots() {
-        let mut u = unit();
-        for dev in [1, 2] {
-            let sid = u.map_hot_device(DeviceId(dev)).unwrap();
-            u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
-        }
-        u.install_entry(MdIndex(0), entry(0x1000, 0x1000, Permissions::rw()))
-            .unwrap();
-        let read = DmaRequest::new(DeviceId(1), AccessKind::Read, 0x1100, 8);
-        let write = DmaRequest::new(DeviceId(1), AccessKind::Write, 0x1100, 8);
-        let other = DmaRequest::new(DeviceId(2), AccessKind::Read, 0x1100, 8);
-        // One SID alternating read and write on one page, then two SIDs
-        // alternating reads on it: each key misses once (the read is
-        // already warm for the second pattern), every other check hits.
-        for (a, b, new_keys) in [(&read, &write, 2), (&read, &other, 1)] {
-            let before = u.stats();
-            for _ in 0..10 {
-                assert!(u.check(a).is_allowed());
-                assert!(u.check(b).is_allowed());
-            }
-            let s = u.stats();
-            assert_eq!(s.cache_misses - before.cache_misses, new_keys);
-            assert_eq!(s.cache_hits - before.cache_hits, 20 - new_keys);
-        }
-    }
-
-    #[test]
     fn mutation_invalidates_cached_verdicts() {
         let mut u = unit();
         let sid = u.map_hot_device(DeviceId(1)).unwrap();
@@ -1385,7 +1350,7 @@ mod tests {
         assert!(u.check(&req).is_allowed());
         assert!(u.check(&req).is_allowed());
         // Dropping the entry must be visible on the very next check even
-        // though the previous verdict for this page was cached.
+        // though the previous snapshot's index answered this request.
         u.set_entry(idx, None).unwrap();
         assert!(u.check(&req).is_denied());
         let s = u.stats();
@@ -1408,28 +1373,39 @@ mod tests {
     }
 
     #[test]
-    fn multi_page_requests_bypass_the_cache() {
+    fn spanning_requests_fall_back_to_the_walk() {
         let mut u = unit();
         let sid = u.map_hot_device(DeviceId(1)).unwrap();
         u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
-        u.install_entry(MdIndex(0), entry(0x1000, 0x4000, Permissions::rw()))
+        let wide = u
+            .install_entry(MdIndex(0), entry(0x1000, 0x4000, Permissions::rw()))
             .unwrap();
-        // Spans two pages: eligible for neither lookup nor insert.
-        let req = DmaRequest::new(DeviceId(1), AccessKind::Read, 0x1ffc, 16);
-        assert!(u.check(&req).is_allowed());
-        assert!(u.check(&req).is_allowed());
+        // A lower-priority sub-range cuts the wide grant into three segments.
+        u.install_entry(MdIndex(0), entry(0x2000, 0x1000, Permissions::read_only()))
+            .unwrap();
+        // Crosses the sub-range's base: the index cannot answer it, and the
+        // walk finds the wide grant.
+        let req = DmaRequest::new(DeviceId(1), AccessKind::Write, 0x1ffc, 16);
+        for _ in 0..2 {
+            assert_eq!(u.check(&req), CheckOutcome::Allowed { matched: wide, sid });
+        }
         let s = u.stats();
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.cache_misses, 0);
+        assert_eq!(
+            (s.cache_hits, s.cache_misses, s.cache_view_rebuilds),
+            (0, 2, 1)
+        );
+        // Inside one segment, the index answers with the same winner.
+        let inside = DmaRequest::new(DeviceId(1), AccessKind::Write, 0x2000, 16);
+        assert_eq!(
+            u.check(&inside),
+            CheckOutcome::Allowed { matched: wide, sid }
+        );
+        assert_eq!(u.stats().cache_hits, 1);
     }
 
     #[test]
     fn disabled_cache_still_checks_correctly() {
-        let cfg = SiopmpConfig {
-            decision_cache_slots: 0,
-            ..SiopmpConfig::small()
-        };
-        let mut u = Siopmp::build(cfg, None);
+        let mut u = Siopmp::build_reference(SiopmpConfig::small(), None);
         let sid = u.map_hot_device(DeviceId(1)).unwrap();
         u.associate_sid_with_md(sid, MdIndex(0)).unwrap();
         u.install_entry(MdIndex(0), entry(0x1000, 0x1000, Permissions::rw()))

@@ -1,13 +1,12 @@
 //! Allocation guard for the check path. Once a thread is warm and the
-//! violation ring and log are full, a check allocates nothing — cached or
-//! page-walk allowed, or denied — through the owner's `Siopmp::check` or a
-//! `SharedSiopmp` handle. A deny records a typed event that renders as
+//! violation ring and log are full, a check allocates nothing — allowed by
+//! the interval index or by the walk of the compiled view, or denied —
+//! through the owner's `Siopmp::check` or a `SharedSiopmp` handle. A deny records a typed event that renders as
 //! text only when the ring is read.
 //!
 //! Counting is per thread, so tests running in parallel do not disturb
 //! each other's counts.
 
-use siopmp::cache::PAGE_SIZE;
 use siopmp::entry::{AddressRange, IopmpEntry, Permissions};
 use siopmp::ids::{DeviceId, MdIndex};
 use siopmp::request::{AccessKind, DmaRequest};
@@ -59,37 +58,40 @@ static GLOBAL: Counting = Counting;
 
 const DEVICE: DeviceId = DeviceId(7);
 const BASE: u64 = 0x8000;
+const PAGE_SIZE: u64 = 0x1000;
 
-/// One hot device granted two pages by one entry, with a small
-/// violation log.
+/// One hot device granted two pages by one entry, beneath a
+/// higher-priority read-only entry over the first page's last 256 bytes,
+/// with a small violation log.
 fn unit() -> Siopmp {
     let mut unit = Siopmp::build(SiopmpConfig::default(), None);
     let sid = unit.map_hot_device(DEVICE).expect("free SID");
     unit.associate_sid_with_md(sid, MdIndex(0)).expect("MD 0");
-    unit.install_entry(
-        MdIndex(0),
-        IopmpEntry::new(
-            AddressRange::new(BASE, 2 * PAGE_SIZE).expect("two pages"),
-            Permissions::rw(),
-        ),
-    )
-    .expect("room in MD 0");
+    for (base, len, perms) in [
+        (BASE + PAGE_SIZE - 0x100, 0x100, Permissions::read_only()),
+        (BASE, 2 * PAGE_SIZE, Permissions::rw()),
+    ] {
+        let range = AddressRange::new(base, len).expect("valid range");
+        unit.install_entry(MdIndex(0), IopmpEntry::new(range, perms))
+            .expect("room in MD 0");
+    }
     unit.set_violation_log_capacity(4)
         .expect("non-zero capacity");
     unit
 }
 
-/// A repeat of one page, an access that crosses into the next page (so
-/// the decision cache cannot answer it and the compiled view is walked),
-/// and an access outside every entry.
+/// An access inside one segment of the index, an access that straddles
+/// the read-only entry's end (it spans two segments, so the compiled view
+/// is walked, and only the two-page grant contains it), and an access
+/// outside every entry.
 fn requests() -> [(&'static str, DmaRequest); 3] {
     [
         (
-            "cached allowed",
+            "indexed allowed",
             DmaRequest::new(DEVICE, AccessKind::Read, BASE + 0x40, 64),
         ),
         (
-            "page-walk allowed",
+            "walked allowed",
             DmaRequest::new(DEVICE, AccessKind::Read, BASE + PAGE_SIZE - 64, 128),
         ),
         (
@@ -131,8 +133,8 @@ fn assert_warm_checks_allocate_nothing(
         let misses = after.cache_misses - before.cache_misses;
         let dropped = after.violation_log_dropped - before.violation_log_dropped;
         let took_its_path = match *class {
-            "cached allowed" => outcome.is_allowed() && hits == 1,
-            "page-walk allowed" => outcome.is_allowed() && hits + misses == 0,
+            "indexed allowed" => outcome.is_allowed() && (hits, misses) == (1, 0),
+            "walked allowed" => outcome.is_allowed() && (hits, misses) == (0, 1),
             _ => outcome.is_denied() && dropped == 1,
         };
         assert!(took_its_path, "{path}: {class}: {outcome:?}, {after:?}");

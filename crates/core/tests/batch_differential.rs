@@ -4,9 +4,10 @@
 //! Two identically-built units process the same request stream — one in
 //! testkit-generated batches, one beat at a time — interleaved with
 //! identical mutator calls (entry installs, SID blocks, cold switches)
-//! that bump the decision-cache epoch *between* batches. After every batch
+//! that publish a fresh snapshot *between* batches. After every batch
 //! the outcomes must match; after every case the stats, violation logs,
-//! telemetry counters, violation rings and cache epochs must match too.
+//! telemetry counters, violation rings and publish generations must match
+//! too.
 //! Over the whole run this exercises well over 10k batches.
 
 use siopmp_testkit::{check_eq, prop_check, Gen};
@@ -87,8 +88,7 @@ fn arb_request(g: &mut Gen) -> DmaRequest {
 }
 
 /// A mutator applied identically to both units between batches. Most arms
-/// bump the decision-cache epoch, so consecutive batches straddle the
-/// bump.
+/// publish a fresh snapshot, so consecutive batches straddle the publish.
 fn mutate(g: &mut Gen, unit: &mut Siopmp, sid1: SourceId, sid2: SourceId) {
     match g.u8(0..5) {
         0 => {

@@ -178,8 +178,9 @@ fn unit() -> Siopmp {
 #[test]
 fn counters_are_the_sum_of_every_threads_tally() {
     let mut unit = unit();
-    // Warm up, then check that a second pass adds exactly the probes'
-    // declared counts: no probe shares a decision slot with another.
+    // Warm up (the first hot check compiles the SID's view), then check
+    // that a second pass adds exactly the probes' declared counts: each
+    // hot probe lies inside one index segment, so each is one hit.
     for probe in &mix() {
         unit.check(&probe.req);
     }

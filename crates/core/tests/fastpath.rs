@@ -1,11 +1,11 @@
-//! The check fast path over page-sized entries: the decision-cache arm
-//! against the cache-free reference arm (`decision_cache_slots = 0`).
+//! The check fast path over page-sized entries: the interval-index arm
+//! against the reference arm (`Siopmp::build_reference`), which walks and
+//! sorts the masked entry list on every check.
 //!
 //! Every test but one runs in every test pass. The `#[ignore]`d
 //! wall-clock guard runs in release with
 //! `cargo test --release -p siopmp --test fastpath -- --ignored`.
 
-use siopmp::cache::PAGE_SIZE;
 use siopmp::entry::{AddressRange, IopmpEntry, Permissions};
 use siopmp::ids::{DeviceId, MdIndex};
 use siopmp::request::{AccessKind, DmaRequest};
@@ -16,29 +16,33 @@ use std::hint::black_box;
 
 const ENTRIES: usize = 1024;
 const BASE: u64 = 0x10_0000;
+const PAGE_SIZE: u64 = 0x1000;
 
-/// Checks per timed call: half hits on the last entry's page, half
-/// misses on an unmapped page. Both verdicts are page-cacheable.
+/// Checks per timed call: half allowed on the last entry's page, half
+/// denied on an unmapped page. The index answers both.
 const CHECKS_PER_CALL: u64 = 128;
 
-/// Wall-clock bound of the cached arm, in ns per check: 150 plus 15%.
+/// Wall-clock bound of the indexed arm, in ns per check: 150 plus 15%.
 const CACHED_NS_PER_CHECK_BOUND: f64 = 150.0 * 1.15;
 
 /// One hot device whose domains hold `entries` page-sized rw rules from
 /// `BASE` upward, spilling into the next memory domain as each window
-/// fills. `slots == 0` disables the decision cache.
+/// fills. `reference` builds the reference arm.
 fn page_unit(
     entries: usize,
-    slots: usize,
+    reference: bool,
     telemetry: impl Into<Option<Telemetry>>,
 ) -> (Siopmp, DeviceId) {
     let cfg = SiopmpConfig {
         num_entries: entries.max(8) * 2,
         cold_md_entries: 8,
-        decision_cache_slots: slots,
         ..SiopmpConfig::default()
     };
-    let mut unit = Siopmp::build(cfg, telemetry);
+    let mut unit = if reference {
+        Siopmp::build_reference(cfg, telemetry)
+    } else {
+        Siopmp::build(cfg, telemetry)
+    };
     let dev = DeviceId(0x42);
     let sid = unit.map_hot_device(dev).unwrap();
     let mut md = MdIndex(0);
@@ -59,18 +63,19 @@ fn page_unit(
     (unit, dev)
 }
 
-/// Builds one arm, checks that both probes resolve as intended (which
-/// also warms the cache), and returns its wall-clock ns per check.
+/// Checks that both probes resolve as intended on one arm (which also
+/// compiles the indexed arm's view), and returns its wall-clock ns per
+/// check.
 fn arm_ns_per_check(unit: &mut Siopmp, dev: DeviceId) -> f64 {
     let last_page = BASE + (ENTRIES as u64 - 1) * PAGE_SIZE;
-    let hit = DmaRequest::new(dev, AccessKind::Read, last_page + 0x40, 16);
-    let miss = DmaRequest::new(dev, AccessKind::Read, 0xdead_0000, 16);
-    assert!(unit.check(&hit).is_allowed(), "last entry reachable");
-    assert!(unit.check(&miss).is_denied(), "miss page unmapped");
+    let allowed = DmaRequest::new(dev, AccessKind::Read, last_page + 0x40, 16);
+    let denied = DmaRequest::new(dev, AccessKind::Read, 0xdead_0000, 16);
+    assert!(unit.check(&allowed).is_allowed(), "last entry reachable");
+    assert!(unit.check(&denied).is_denied(), "denied page unmapped");
     let ns = median_wall_ns(|| {
         for _ in 0..CHECKS_PER_CALL / 2 {
-            black_box(unit.check(black_box(&hit)));
-            black_box(unit.check(black_box(&miss)));
+            black_box(unit.check(black_box(&allowed)));
+            black_box(unit.check(black_box(&denied)));
         }
     });
     ns as f64 / CHECKS_PER_CALL as f64
@@ -78,11 +83,11 @@ fn arm_ns_per_check(unit: &mut Siopmp, dev: DeviceId) -> f64 {
 
 #[test]
 fn cached_beats_uncached_at_1024_entries() {
-    // The bar is 2x; the real margin (an O(1) lookup against a walk and
+    // The bar is 2x; the real margin (a binary search against a walk and
     // sort of 1024 entries) is orders larger, so this holds under noise
     // and in debug builds.
-    let (mut cached, dev) = page_unit(ENTRIES, 1024, None);
-    let (mut uncached, _) = page_unit(ENTRIES, 0, None);
+    let (mut cached, dev) = page_unit(ENTRIES, false, None);
+    let (mut uncached, _) = page_unit(ENTRIES, true, None);
     let cached_ns = arm_ns_per_check(&mut cached, dev);
     let uncached_ns = arm_ns_per_check(&mut uncached, dev);
     assert!(
@@ -94,12 +99,13 @@ fn cached_beats_uncached_at_1024_entries() {
 #[test]
 fn check_fastpath_dump_has_cache_counters() {
     let telemetry = Telemetry::new();
-    let (mut unit, dev) = page_unit(ENTRIES, 1024, telemetry.clone());
+    let (mut unit, dev) = page_unit(ENTRIES, false, telemetry.clone());
     arm_ns_per_check(&mut unit, dev);
-    // The cached arm runs hot: after the two warm-up misses every check
-    // hits, and the unit's telemetry dump carries the cache counters.
+    // Both probes lie inside one segment, so the index answers every
+    // check, warm-up included, and the unit's telemetry dump carries the
+    // cache counters.
     let stats = unit.stats();
-    assert_eq!(stats.cache_misses, 2);
+    assert_eq!(stats.cache_misses, 0);
     assert!(stats.cache_hits > stats.cache_misses);
     let dump = telemetry.snapshot();
     assert_eq!(dump.counters["siopmp.cache.hits"], stats.cache_hits);
@@ -116,8 +122,8 @@ fn check_fastpath_dump_has_cache_counters() {
 
 #[test]
 fn page_helper_arms_agree_and_only_one_caches() {
-    let (mut cached, dev) = page_unit(32, 1024, None);
-    let (mut reference, _) = page_unit(32, 0, None);
+    let (mut cached, dev) = page_unit(32, false, None);
+    let (mut reference, _) = page_unit(32, true, None);
     for addr in [BASE, BASE + 31 * PAGE_SIZE, 0xdead_0000] {
         for _ in 0..2 {
             let req = DmaRequest::new(dev, AccessKind::Read, addr, 16);
@@ -135,10 +141,10 @@ fn page_helper_arms_agree_and_only_one_caches() {
 
 #[test]
 #[ignore = "wall clock; run in release with --ignored"]
-fn cached_check_stays_under_its_wall_clock_bound() {
-    let (mut unit, dev) = page_unit(ENTRIES, SiopmpConfig::default().decision_cache_slots, None);
+fn indexed_check_stays_under_its_wall_clock_bound() {
+    let (mut unit, dev) = page_unit(ENTRIES, false, None);
     let ns = arm_ns_per_check(&mut unit, dev);
-    println!("cached check at {ENTRIES} entries: {ns:.1} ns/check");
+    println!("indexed check at {ENTRIES} entries: {ns:.1} ns/check");
     assert!(
         ns <= CACHED_NS_PER_CHECK_BOUND,
         "{ns:.1} ns/check exceeds {CACHED_NS_PER_CHECK_BOUND:.1}"

@@ -38,7 +38,7 @@ fn reader_threads() -> usize {
 }
 
 /// One step of the interleaved mutation/check stream (the same op shape
-/// as `cache_differential.rs`, plus a batch-check arm so the shared
+/// as `index_differential.rs`, plus a batch-check arm so the shared
 /// `check_batch` path is differentially covered too).
 #[derive(Debug, Clone)]
 enum Op {
@@ -247,8 +247,8 @@ fn apply(unit: &mut Siopmp, sids: &mut [Option<SourceId>], via: &CheckVia, op: &
 /// ≥10k interleaved operations: checks through a `SharedSiopmp` handle
 /// are byte-identical to checks through the owning `&mut` path — same
 /// `Debug` tokens per step, same violation history, same functional and
-/// cache counters (the shared path shares the decision cache semantics,
-/// so even hit/miss counts must line up).
+/// cache counters (the shared path decides through the same interval
+/// index, so even hit/miss counts must line up).
 #[test]
 fn shared_handle_matches_owner_path() {
     let interleavings = AtomicU64::new(0);

@@ -3,8 +3,9 @@
 //!
 //! This module is the setup half of the `contended_readers` test suite
 //! (it is not a paper artifact, so it does not appear in [`crate::ALL`]):
-//! it builds a checker with page-aligned entries so verdicts are
-//! decision-cacheable, a deterministic per-reader request stream mixing
+//! it builds a checker with page-aligned entries, each access inside one
+//! entry and so answered by the interval index, a deterministic
+//! per-reader request stream mixing
 //! allowed and denied pages, and a `run` loop that pits N reader threads —
 //! each holding a [`siopmp::SharedSiopmp`] handle — against the owning
 //! `&mut Siopmp`, which flaps an entry to force snapshot republication
@@ -25,7 +26,7 @@ use siopmp::request::{AccessKind, DmaRequest};
 use siopmp::telemetry::Telemetry;
 use siopmp::{CheckOutcome, Siopmp, SiopmpConfig};
 
-/// 4 KiB pages, matching the decision cache granularity.
+/// 4 KiB pages.
 const PAGE: u64 = 4096;
 
 /// Base guest-physical address of the entry window.

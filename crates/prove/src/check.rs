@@ -55,9 +55,9 @@ impl StateFindings {
 /// Runs every proof obligation against one concrete state.
 ///
 /// Probing goes through a [`SharedSiopmp`](siopmp::SharedSiopmp) handle:
-/// snapshot routing is pure (no CAM reference-bit training, no decision
-/// -cache fills on the owner), so checking a state never perturbs its
-/// canonical encoding — the explorer relies on this.
+/// snapshot routing is pure (no CAM reference-bit training), so checking
+/// a state never perturbs its canonical encoding — the explorer relies on
+/// this.
 pub fn check_state(
     unit: &Siopmp,
     model: &Model,

@@ -172,14 +172,13 @@ impl Model {
     /// steps; rich enough to exercise every mutator in the alphabet,
     /// CAM eviction (3 hot SIDs, up to 4 promotable devices), cold
     /// mount/remount/promote churn, entry shadowing (a `none` guard
-    /// entry) and the decision cache.
+    /// entry) and the per-SID interval index.
     pub fn two_tenant_micro() -> Model {
         let mut config = SiopmpConfig::small();
         config.num_sids = 4; // 3 hot SIDs + the cold mount SID
         config.num_mds = 3; // MD0 = tenant 0, MD1 = tenant 1, MD2 = cold
         config.num_entries = 5; // windows: MD0 [0,2), MD1 [2,4), MD2 [4,5)
         config.cold_md_entries = 1;
-        config.decision_cache_slots = 16;
         config.violation_log_capacity = 64;
         let initial = Siopmp::build(config, None);
 

@@ -62,8 +62,6 @@ pub struct UnitParams {
     pub entries: usize,
     /// Entry slots reserved to the cold MD.
     pub cold_entries: usize,
-    /// Decision-cache slots (0 disables the fast path).
-    pub cache: usize,
     /// Violation-log capacity.
     pub log: usize,
     /// Checker micro-architecture.
@@ -83,7 +81,6 @@ impl Default for UnitParams {
             mds: 63,
             entries: 1024,
             cold_entries: 8,
-            cache: 1024,
             log: 4096,
             checker: Checker::Mt {
                 stages: 2,
@@ -368,7 +365,8 @@ pub struct ExploreParams {
     pub cam_ways: Vec<u64>,
     /// Checker pipeline depths to sweep (1..=8; default `3`).
     pub stages: Vec<u64>,
-    /// Decision-cache slot counts to sweep (0 disables; default `1024`).
+    /// Modelled hardware decision-cache slot counts to sweep (0 = none;
+    /// default `1024`).
     pub cache: Vec<u64>,
     /// Checker shard counts to sweep (1..=64; default `1`).
     pub shards: Vec<u64>,

@@ -83,7 +83,6 @@ pub fn siopmp_config(u: &UnitParams) -> SiopmpConfig {
             PlacementSpec::Centralized => siopmp::config::Placement::Centralized,
         },
         mountable: u.mountable,
-        decision_cache_slots: u.cache,
         violation_log_capacity: u.log,
     }
 }

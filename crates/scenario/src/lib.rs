@@ -37,7 +37,7 @@
 //! |---|---|
 //! | `scenario <name>` | names the scenario; must come first |
 //! | `describe <text>` | free-text description |
-//! | `config k=v ...` | unit parameters: `sids mds entries cold_entries cache log checker violation placement mountable` |
+//! | `config k=v ...` | unit parameters: `sids mds entries cold_entries log checker violation placement mountable` |
 //! | `bus k=v ...` | bus timing: `bytes beats read_latency write_latency issue_gap derive_checker` |
 //! | `domain <name>` | opens a domain (one shard of the parallel engine) |
 //! | `home <base> <len>` | the domain's owned address window |

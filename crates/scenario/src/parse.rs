@@ -302,7 +302,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScnError> {
                         "cold_entries" => {
                             scn.unit.cold_entries = num_or::<u64>(line, k, v)? as usize
                         }
-                        "cache" => scn.unit.cache = num_or::<u64>(line, k, v)? as usize,
                         "log" => scn.unit.log = num_or::<u64>(line, k, v)? as usize,
                         "checker" => {
                             let parts: Vec<&str> = v.split(':').collect();

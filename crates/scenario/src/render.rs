@@ -81,12 +81,11 @@ pub fn render(scenario: &Scenario) -> String {
     let u = &scenario.unit;
     let _ = writeln!(
         out,
-        "config sids={} mds={} entries={} cold_entries={} cache={} log={} checker={} violation={} placement={} mountable={}",
+        "config sids={} mds={} entries={} cold_entries={} log={} checker={} violation={} placement={} mountable={}",
         u.sids,
         u.mds,
         u.entries,
         u.cold_entries,
-        u.cache,
         u.log,
         checker_str(u.checker),
         match u.violation {

@@ -52,6 +52,16 @@ fn unknown_config_key() {
 }
 
 #[test]
+fn the_retired_cache_key_is_refused() {
+    // Only `explore … cache=` takes the key: it sweeps the modelled
+    // hardware cache.
+    assert_eq!(
+        error_of("scenario t\nconfig entries=64 cache=1024\n"),
+        "line 2: unknown `config` key `cache`"
+    );
+}
+
+#[test]
 fn non_numeric_value() {
     assert_eq!(
         error_of("scenario t\nconfig sids=many\n"),

@@ -91,7 +91,6 @@ fn gen_scenario(g: &mut Gen) -> Scenario {
         mds: g.usize(2..2048),
         entries: g.usize(2..65536),
         cold_entries: g.usize(1..64),
-        cache: g.usize(1..8192),
         log: g.usize(1..16384),
         checker: match g.u32(0..4) {
             0 => Checker::Linear,

@@ -75,8 +75,6 @@ pub fn random_unit(g: &mut Gen) -> (Siopmp, Vec<DeviceId>) {
     cfg.num_mds = g.usize(4..9);
     cfg.num_entries = g.usize(24..65);
     cfg.cold_md_entries = g.usize(2..5);
-    // Exercise both the cache-free reference path and the decision cache.
-    cfg.decision_cache_slots = if g.bool() { 64 } else { 0 };
     let mut unit = Siopmp::build(cfg, None);
     let cfg = unit.config().clone();
     let hot_mds: Vec<MdIndex> = (0..cfg.cold_md().0).map(MdIndex).collect();

@@ -419,7 +419,7 @@ fn fmt_region(start: u64, end: u64) -> String {
 /// capability state) and returns the diagnostics plus per-SID views.
 ///
 /// The analysis is read-only and side-effect free; it never touches the
-/// decision cache, the CAM's reference bits, or the violation log.
+/// compiled per-SID views, the CAM's reference bits, or the violation log.
 pub fn analyze(unit: &Siopmp, caps: Option<&CapabilityMap>) -> Report {
     let cfg = unit.config();
     let hot = unit.hot_devices();

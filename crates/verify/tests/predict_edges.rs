@@ -1,14 +1,15 @@
 //! Edge-case pinning for [`Predicted::agrees_with`] and the predict path:
 //! zero-length accesses, exclusive-end interval boundaries, top-of-address
-//! -space overflow and cached-verdict replay — the off-by-one surface the
-//! model checker's probe grid sweeps, pinned here as named examples.
+//! -space overflow and a zero-length probe inside an indexed segment — the
+//! off-by-one surface the model checker's probe grid sweeps, pinned here
+//! as named examples.
 //!
 //! Hardware ground rules these tests encode:
 //!
 //! * a zero-length access matches **no** entry (an empty byte set is not
 //!   "fully contained"), so it always denies — even mid-interval, even
-//!   when a page verdict for the surrounding page sits in the decision
-//!   cache (zero-length accesses bypass the cache);
+//!   inside a segment whose index label allows (zero-length accesses
+//!   bypass the index and walk the view);
 //! * entry ranges are half-open `[base, end)`: `end - 1` is the last
 //!   matching byte, `end` matches nothing, and an access ending exactly
 //!   at `end` still matches;
@@ -23,12 +24,14 @@ use siopmp_verify::{analyze, Predicted};
 
 const DEV: DeviceId = DeviceId(1);
 
-/// One hot device viewing `[0x1000, 0x2000)` rw; `cached` toggles the
-/// decision cache against the reference path.
+/// One hot device viewing `[0x1000, 0x2000)` rw; `cached` picks the
+/// interval index over the reference walk.
 fn unit_with_window(cached: bool) -> Siopmp {
-    let mut cfg = SiopmpConfig::small();
-    cfg.decision_cache_slots = if cached { 64 } else { 0 };
-    let mut unit = Siopmp::build(cfg, None);
+    let mut unit = if cached {
+        Siopmp::build(SiopmpConfig::small(), None)
+    } else {
+        Siopmp::build_reference(SiopmpConfig::small(), None)
+    };
     let sid = unit.map_hot_device(DEV).unwrap();
     unit.associate_sid_with_md(sid, MdIndex(0)).unwrap();
     unit.install_entry(
@@ -80,9 +83,9 @@ fn zero_length_accesses_always_deny_and_agree() {
 
 #[test]
 fn zero_length_bypasses_a_hot_cached_page_verdict() {
-    // Prime the decision cache with an allowed full-page verdict, then
-    // fire a zero-length probe at the very same page: the cached Allow
-    // must not leak into the empty access.
+    // Compile the index with an allowed access, then fire a zero-length
+    // probe inside the very same segment: its Allow label must not leak
+    // into the empty access.
     let mut unit = unit_with_window(true);
     let report = analyze(&unit, None);
     let warm = unit.check(&DmaRequest::new(DEV, AccessKind::Read, 0x1010, 8));
